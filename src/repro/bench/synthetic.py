@@ -10,8 +10,8 @@ pre-colored obstacles, and per-layer color-spacing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.design import CellInstance, CellMaster, Design, Net, Obstacle, Pin
 from repro.geometry import Orientation, Point, Rect
@@ -226,41 +226,49 @@ def _build_nets(
     instances: List[CellInstance],
     rng: SeededRNG,
 ) -> None:
-    """Create multi-pin nets with spatial locality over the placed cells."""
+    """Create multi-pin nets with spatial locality over the placed cells.
+
+    Pin slots are ``(instance, pin)`` pairs numbered ``2 * i + p`` over the
+    instances and the pins ``("A", "Z")``; instance names are unique, so a
+    slot number identifies a slot exactly as its ``(name, pin)`` key would.
+    Both pins of an instance share its footprint centre, computed once, so
+    each net's neighbourhood is one linear scan over plain ints that keeps
+    slot order (``rng.shuffle`` consumes it).
+    """
     if not instances:
         raise ValueError(f"spec {spec.name!r} produced no cell instances")
-    available: List[Tuple[CellInstance, str]] = [
-        (instance, pin_name)
-        for instance in instances
-        for pin_name in ("A", "Z")
-    ]
-    used: set = set()
+    pin_names = ("A", "Z")
+    centres = [instance.footprint().center for instance in instances]
+    xs = [centre.x for centre in centres]
+    ys = [centre.y for centre in centres]
+    slots = range(2 * len(instances))
+    used = bytearray(len(slots))
     radius_dbu = spec.net_radius * spec.pitch
 
     for net_index in range(spec.num_nets):
         degree = rng.pin_count(spec.min_pins, spec.max_pins, spec.multi_pin_bias)
         anchor = None
         for _attempt in range(40):
-            candidate = rng.choice(available)
-            if (candidate[0].name, candidate[1]) not in used:
+            candidate = rng.choice(slots)
+            if not used[candidate]:
                 anchor = candidate
                 break
         if anchor is None:
             break
-        anchor_point = anchor[0].footprint().center
-        neighbourhood = [
-            (instance, pin_name)
-            for instance, pin_name in available
-            if (instance.name, pin_name) not in used
-            and instance.footprint().center.chebyshev_distance(anchor_point) <= radius_dbu
-            and (instance.name, pin_name) != (anchor[0].name, anchor[1])
-        ]
+        ax = xs[anchor >> 1]
+        ay = ys[anchor >> 1]
+        neighbourhood = []
+        for index, x in enumerate(xs):
+            if abs(x - ax) <= radius_dbu and abs(ys[index] - ay) <= radius_dbu:
+                for slot in (2 * index, 2 * index + 1):
+                    if not used[slot] and slot != anchor:
+                        neighbourhood.append(slot)
         rng.shuffle(neighbourhood)
         members = [anchor] + neighbourhood[: degree - 1]
         if len(members) < 2:
             continue
         net = Net(name=f"net_{net_index}")
-        for instance, pin_name in members:
-            used.add((instance.name, pin_name))
-            net.add_pin(instance.make_pin(pin_name))
+        for slot in members:
+            used[slot] = 1
+            net.add_pin(instances[slot >> 1].make_pin(pin_names[slot & 1]))
         design.add_net(net)

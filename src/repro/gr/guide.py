@@ -49,20 +49,27 @@ class RouteGuide:
         Detailed routers conventionally bloat guides slightly so pin access
         and small detours remain in-guide.
         """
-        grown: Set[GCell] = set()
+        num_layers = gcell_grid.num_layers
+        num_gx, num_gy = gcell_grid.num_gx, gcell_grid.num_gy
+        # Plain ``(layer, gx, gy)`` tuples, converted to GCells once.  A dict
+        # keeps first-insertion order, so the GCell set (and its iteration
+        # order) follows the cell-by-cell walk below.
+        grown: Dict[Tuple[int, int, int], None] = {}
         for cell in self.cells:
-            for dgx in range(-margin_cells, margin_cells + 1):
-                for dgy in range(-margin_cells, margin_cells + 1):
-                    candidate = GCell(cell.layer, cell.gx + dgx, cell.gy + dgy)
-                    if gcell_grid.in_bounds(candidate):
-                        grown.add(candidate)
+            layer, gx, gy = cell.layer, cell.gx, cell.gy
+            if 0 <= layer < num_layers:
+                xs = range(max(gx - margin_cells, 0), min(gx + margin_cells + 1, num_gx))
+                ys = range(max(gy - margin_cells, 0), min(gy + margin_cells + 1, num_gy))
+                for x in xs:
+                    for y in ys:
+                        grown[(layer, x, y)] = None
             # Guides should also cover the layers directly above/below so the
             # detailed router can drop vias without leaving the guide.
-            for dlayer in (-1, 1):
-                candidate = GCell(cell.layer + dlayer, cell.gx, cell.gy)
-                if gcell_grid.in_bounds(candidate):
-                    grown.add(candidate)
-        return RouteGuide(self.net_name, grown)
+            if 0 <= gx < num_gx and 0 <= gy < num_gy:
+                for other in (layer - 1, layer + 1):
+                    if 0 <= other < num_layers:
+                        grown[(other, gx, gy)] = None
+        return RouteGuide(self.net_name, {GCell(*key) for key in grown})
 
 
 class GuideSet:

@@ -50,11 +50,11 @@ class GCellGrid:
         self.num_layers = design.tech.num_layers
         self.num_gx = max(1, -(-die.width // gcell_size))
         self.num_gy = max(1, -(-die.height // gcell_size))
-        # Edge usage between planar-adjacent gcells: key is a canonical pair.
-        self._usage: Dict[Tuple[GCell, GCell], int] = {}
-        # Capacity reductions from blockages.
-        self._blocked_fraction: Dict[GCell, float] = {}
-        self._apply_blockages()
+        # Edge usage between planar-adjacent gcells, keyed by the canonical
+        # ``(lo, hi)`` pair of flat indices (see :meth:`index_of`).
+        self._usage: Dict[Tuple[int, int], int] = {}
+        # Effective boundary capacity per flat index, reduced by blockages.
+        self._capacity: List[float] = self._effective_capacities()
 
     # -- geometry -----------------------------------------------------------
 
@@ -65,6 +65,21 @@ class GCellGrid:
             and 0 <= cell.gx < self.num_gx
             and 0 <= cell.gy < self.num_gy
         )
+
+    def index_of(self, cell: GCell) -> int:
+        """Return the flat index ``(layer * num_gx + gx) * num_gy + gy``.
+
+        For in-bounds cells the flat order is the :class:`GCell` order, so a
+        canonical ``(lo, hi)`` index pair names the same boundary as the
+        canonical cell pair.
+        """
+        return (cell.layer * self.num_gx + cell.gx) * self.num_gy + cell.gy
+
+    def cell_at(self, index: int) -> GCell:
+        """Return the cell of flat *index* (inverse of :meth:`index_of`)."""
+        rest, gy = divmod(index, self.num_gy)
+        layer, gx = divmod(rest, self.num_gx)
+        return GCell(layer, gx, gy)
 
     def cell_of_point(self, layer: int, point: Point) -> GCell:
         """Return the GCell containing *point* on *layer* (clamped to bounds)."""
@@ -104,8 +119,9 @@ class GCellGrid:
 
     # -- congestion accounting ------------------------------------------------
 
-    def _edge_key(self, a: GCell, b: GCell) -> Tuple[GCell, GCell]:
-        return (a, b) if a <= b else (b, a)
+    def _edge_key(self, a: GCell, b: GCell) -> Tuple[int, int]:
+        i, j = self.index_of(a), self.index_of(b)
+        return (i, j) if i <= j else (j, i)
 
     def usage(self, a: GCell, b: GCell) -> int:
         """Return the number of nets currently crossing the ``a``-``b`` boundary."""
@@ -113,29 +129,41 @@ class GCellGrid:
 
     def add_usage(self, a: GCell, b: GCell, amount: int = 1) -> None:
         """Record *amount* additional nets crossing the ``a``-``b`` boundary."""
-        key = self._edge_key(a, b)
+        self.add_index_usage(self.index_of(a), self.index_of(b), amount)
+
+    def add_index_usage(self, i: int, j: int, amount: int = 1) -> None:
+        """Flat-index form of :meth:`add_usage`."""
+        key = (i, j) if i <= j else (j, i)
         self._usage[key] = self._usage.get(key, 0) + amount
 
     def effective_capacity(self, cell: GCell) -> float:
         """Return the boundary capacity of *cell* reduced by blockage coverage."""
-        return self.capacity * (1.0 - self._blocked_fraction.get(cell, 0.0))
+        return self._capacity[self.index_of(cell)]
 
     def congestion_cost(self, a: GCell, b: GCell) -> float:
         """Return a smooth congestion penalty for crossing the ``a``-``b`` boundary."""
-        capacity = max(min(self.effective_capacity(a), self.effective_capacity(b)), 0.5)
-        usage = self.usage(a, b)
-        overflow = max(0.0, usage + 1 - capacity)
+        i, j = self._edge_key(a, b)
+        return self.index_congestion_cost(i, j)
+
+    def index_congestion_cost(self, i: int, j: int) -> float:
+        """Flat-index form of :meth:`congestion_cost` (``i < j``)."""
+        capacities = self._capacity
+        capacity = max(min(capacities[i], capacities[j]), 0.5)
+        overflow = max(0.0, self._usage.get((i, j), 0) + 1 - capacity)
         return 1.0 + overflow * overflow
 
     def total_overflow(self) -> float:
         """Return the summed overflow over all boundaries (GR quality metric)."""
+        capacities = self._capacity
         overflow = 0.0
-        for (a, b), usage in self._usage.items():
-            capacity = max(min(self.effective_capacity(a), self.effective_capacity(b)), 0.5)
+        for (i, j), usage in self._usage.items():
+            capacity = max(min(capacities[i], capacities[j]), 0.5)
             overflow += max(0.0, usage - capacity)
         return overflow
 
-    def _apply_blockages(self) -> None:
+    def _effective_capacities(self) -> List[float]:
+        """Return the per-cell capacity after blockage coverage, by flat index."""
+        blocked = [0.0] * (self.num_layers * self.num_gx * self.num_gy)
         for shape in self.design.blockage_shapes():
             if not 0 <= shape.layer < self.num_layers:
                 continue
@@ -145,6 +173,6 @@ class GCellGrid:
                 if overlap is None or cell_rect.area == 0:
                     continue
                 fraction = overlap.area / cell_rect.area
-                self._blocked_fraction[cell] = min(
-                    1.0, self._blocked_fraction.get(cell, 0.0) + fraction
-                )
+                index = self.index_of(cell)
+                blocked[index] = min(1.0, blocked[index] + fraction)
+        return [self.capacity * (1.0 - fraction) for fraction in blocked]

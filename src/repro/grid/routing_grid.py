@@ -561,12 +561,18 @@ class RoutingGrid:
         row = min(max(row, 0), self.num_rows - 1)
         return GridPoint(layer, col, row)
 
-    def vertices_covering(self, layer: int, rect: Rect) -> List[GridPoint]:
-        """Return the vertices on *layer* whose track crossing lies inside *rect*."""
+    def _covering_span(self, rect: Rect) -> Tuple[int, int, int, int]:
+        """Return ``(col_lo, col_hi, row_lo, row_hi)`` of the track crossings
+        inside *rect* (empty when ``lo > hi``)."""
         col_lo = max(0, -(-(rect.xlo - self.origin.x) // self.pitch))
         col_hi = min(self.num_cols - 1, (rect.xhi - self.origin.x) // self.pitch)
         row_lo = max(0, -(-(rect.ylo - self.origin.y) // self.pitch))
         row_hi = min(self.num_rows - 1, (rect.yhi - self.origin.y) // self.pitch)
+        return col_lo, col_hi, row_lo, row_hi
+
+    def vertices_covering(self, layer: int, rect: Rect) -> List[GridPoint]:
+        """Return the vertices on *layer* whose track crossing lies inside *rect*."""
+        col_lo, col_hi, row_lo, row_hi = self._covering_span(rect)
         vertices: List[GridPoint] = []
         for col in range(col_lo, col_hi + 1):
             for row in range(row_lo, row_hi + 1):
@@ -958,13 +964,27 @@ class RoutingGrid:
             return
         overlay = self._net_overlay(self.net_id(net_name))
         dcolor = self.rules.color_spacing_on(layer)
-        region = rect.expanded(dcolor + self.pitch)
-        for vertex in self.vertices_covering(layer, region):
-            if self.vertex_rect(vertex).distance_to(rect) < dcolor:
-                index = self.index_of(vertex)
-                self._pressure_buf[3 * index + color] += self.rules.conflict_cost
-                own = overlay.setdefault(index, [0.0, 0.0, 0.0])
-                own[color] += self.rules.conflict_cost
+        cost = self.rules.conflict_cost
+        pressure = self._pressure_buf
+        pitch, num_rows = self.pitch, self.num_rows
+        origin_x, origin_y = self.origin.x, self.origin.y
+        # The gap of :meth:`Rect.distance_to` between a vertex's wire rect
+        # (``half`` around the crossing) and *rect*: the larger per-axis gap.
+        half = max(self.rules.wire_width // 2, 0)
+        col_lo, col_hi, row_lo, row_hi = self._covering_span(rect.expanded(dcolor + pitch))
+        for col in range(col_lo, col_hi + 1):
+            x = origin_x + col * pitch
+            gap_x = max(rect.xlo - x - half, x - half - rect.xhi, 0)
+            if gap_x >= dcolor:
+                continue
+            base = (layer * self.num_cols + col) * num_rows
+            for row in range(row_lo, row_hi + 1):
+                y = origin_y + row * pitch
+                if max(gap_x, rect.ylo - y - half, y - half - rect.yhi) < dcolor:
+                    index = base + row
+                    pressure[3 * index + color] += cost
+                    own = overlay.setdefault(index, [0.0, 0.0, 0.0])
+                    own[color] += cost
 
     # ------------------------------------------------------------------
     # Occupancy (routed metal ownership)

@@ -1,6 +1,6 @@
 """Tests for Steiner topology, global routing and guides."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench import SyntheticSpec, generate_design
 from repro.geometry import Point, Rect
@@ -13,6 +13,17 @@ points = st.lists(
     min_size=2,
     max_size=8,
     unique=True,
+)
+
+#: Small boxes and shared rows force duplicate points, collinear runs and
+#: equal-distance ties -- the cases where Prim's tie-breaking matters.
+tie_points = st.lists(
+    st.one_of(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.tuples(st.integers(0, 40), st.just(7)),
+        st.tuples(st.just(3), st.integers(0, 40)),
+    ).map(lambda t: Point(*t)),
+    max_size=10,
 )
 
 
@@ -45,6 +56,15 @@ class TestSteiner:
     def test_single_terminal(self):
         tree = build_steiner_tree([Point(3, 3)])
         assert tree.edges == [] and tree.is_connected()
+
+    @given(tie_points)
+    @example([Point(1, 1), Point(1, 1), Point(4, 1), Point(4, 1)])
+    @example([Point(0, 0), Point(5, 0), Point(10, 0), Point(15, 0)])
+    @example([Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2), Point(1, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_mst_length_equals_rectilinear_mst_edge_lengths(self, pts):
+        edges = rectilinear_mst(pts)
+        assert mst_length(pts) == sum(a.manhattan_distance(b) for a, b in edges)
 
     @given(points)
     @settings(max_examples=30, deadline=None)

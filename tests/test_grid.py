@@ -16,7 +16,7 @@ from repro.grid import (
     Stitch,
 )
 from repro.grid.gcell import GCell
-from repro.tech import make_default_tech
+from repro.tech import DesignRules, make_default_tech
 
 
 def make_design(color=-1, die=80):
@@ -139,6 +139,39 @@ class TestRoutingGrid:
         near = grid.nearest_vertex(0, Point(44, 46))
         costs = grid.color_costs(near, "n1")
         assert costs[1] > 0 and costs[0] == 0.0
+
+    @given(
+        xlo=st.integers(-12, 84),
+        ylo=st.integers(-12, 84),
+        width=st.integers(0, 20),
+        height=st.integers(0, 20),
+        wire_width=st.integers(1, 7),
+        color=st.integers(0, 2),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fixed_shape_pressure_matches_rect_gap(
+        self, xlo, ylo, width, height, wire_width, color
+    ):
+        rules = DesignRules(color_spacing=8, wire_width=wire_width)
+        tech = make_default_tech(num_layers=3, color_spacing=8, rules=rules)
+        design = Design(name="gap", tech=tech, die_area=Rect(0, 0, 80, 80))
+        rect = Rect(xlo, ylo, xlo + width, ylo + height)
+        design.add_obstacle(Obstacle(layer=0, rect=rect, name="fx", color=color))
+        grid = RoutingGrid(design)
+        expected = {
+            grid.index_of(vertex)
+            for vertex in (
+                GridPoint(0, col, row)
+                for col in range(grid.num_cols)
+                for row in range(grid.num_rows)
+            )
+            if grid.vertex_rect(vertex).distance_to(rect) < 8
+        }
+        pressure = grid._pressure_buf
+        pressed = {
+            index for index in range(grid.num_vertices) if pressure[3 * index + color]
+        }
+        assert pressed == expected
 
     def test_recolor_same_vertex_replaces_pressure(self):
         grid = RoutingGrid(make_design())
