@@ -4,19 +4,26 @@ The heart of the suite is the differential harness: for every router and
 every executor backend the batched rip-up loop must produce solutions
 bit-identical to the plain sequential loop (order-preserving ``prefix``
 policy), across batch sizes and worker counts -- including the speculative
-thread and fork backends, whose explored-region validation plus sequential
+thread and pool backends, whose explored-region validation plus sequential
 fallback is what the guarantee rests on.  The ``greedy`` policy permutes
 the net order, so its oracle is the serial executor on the same plan.
+
+Also covered: the static ``batch_backend="auto"`` rule (driven by
+monkeypatching the three host facts it reads), the rejection of unknown
+backends, and the pool's lifetime counters and suffix-message batching.
 """
 
 import multiprocessing
+import os
 import sys
 
 import pytest
 
+import repro.sched.executor as executor_module
+from repro import faults
 from repro.baselines.dac2012 import Dac2012Router
 from repro.bench.micro import solution_fingerprint, solution_metrics
-from repro.bench.suites import suite_case
+from repro.bench.suites import sparse_suite, suite_case
 from repro.design import Net, Pin
 from repro.dr.router import DetailedRouter
 from repro.geometry import Rect
@@ -26,6 +33,8 @@ from repro.sched import (
     GridSink,
     RecordingSink,
     apply_route_ops,
+    recommend_backend,
+    usable_cpu_count,
     windows_overlap,
 )
 from repro.tpl.mr_tpl import MrTPLRouter
@@ -38,7 +47,9 @@ ROUTERS = {
 
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["serial", "thread"] + (["process", "pool"] if HAVE_FORK else [])
+BACKENDS = ["serial", "thread"] + (["pool"] if HAVE_FORK else [])
+
+needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 
 
 def build_case(suite="ispd18", number=2, scale=0.5):
@@ -353,3 +364,190 @@ def test_grid_sink_and_recording_sink_agree():
     assert replay_grid.net_id("netX") == recording.net_id
     apply_route_ops(replay_grid, recording.ops)
     assert grid_state_digest(grid) == grid_state_digest(replay_grid)
+
+
+# ----------------------------------------------------------------------
+# Static backend selection: batch_backend="auto"
+# ----------------------------------------------------------------------
+
+def sparse_case():
+    return sparse_suite(0.4)[0].build()
+
+
+def make_router(router_key, design, **kwargs):
+    if router_key != "maze":
+        kwargs.setdefault("use_global_router", False)
+    return ROUTERS[router_key](design, grid=RoutingGrid(design), **kwargs)
+
+
+_SERIAL_REFS = {}
+
+
+def serial_reference(router_key):
+    if router_key not in _SERIAL_REFS:
+        router = make_router(router_key, sparse_case())
+        _SERIAL_REFS[router_key] = solution_fingerprint(router.run())
+    return _SERIAL_REFS[router_key]
+
+
+def force_host(monkeypatch, cpus, tier, fork):
+    """Pin the three host facts the ``auto`` rule reads."""
+    monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: cpus)
+    monkeypatch.setattr(executor_module, "active_search_tier", lambda: tier)
+    monkeypatch.setattr(executor_module, "fork_available", lambda: fork)
+
+
+def test_recommend_backend_static_rule(monkeypatch):
+    table = [
+        # cpus, parallelism, tier, fork -> backend
+        (1, 4, "native", True, "serial"),  # one core: nowhere to speculate
+        (4, 1, "native", True, "serial"),  # one worker: same
+        (4, 4, "native", True, "thread"),  # GIL-free kernel: threads scale
+        (4, 4, "native", False, "thread"),
+        (4, 4, "python", True, "pool"),  # GIL-bound search: fork a pool...
+        (4, 4, "python", False, "thread"),  # ...threads without fork
+    ]
+    for cpus, parallelism, tier, fork, expected in table:
+        force_host(monkeypatch, cpus, tier, fork)
+        assert recommend_backend(parallelism) == expected, (cpus, parallelism, tier, fork)
+
+
+def test_usable_cpu_count_is_affinity_bounded():
+    count = usable_cpu_count()
+    assert 1 <= count <= (os.cpu_count() or count)
+    if hasattr(os, "sched_getaffinity"):
+        assert count == len(os.sched_getaffinity(0))
+
+
+def test_auto_on_one_usable_core_builds_no_executor(monkeypatch):
+    force_host(monkeypatch, 1, "native", True)
+    for router_key in sorted(ROUTERS):
+        router = make_router(router_key, sparse_case(), batch_backend="auto")
+        assert router.batch_executor is None, router_key
+
+
+@pytest.mark.parametrize("backend", ["process", "gpu"])
+def test_unknown_backend_is_rejected(backend):
+    with pytest.raises(ValueError) as excinfo:
+        make_router("color-state", sparse_case(), batch_backend=backend)
+    message = str(excinfo.value)
+    for name in ("serial", "thread", "pool", "auto"):
+        assert repr(name) in message
+
+
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+def test_auto_backend_thread_is_bit_identical_to_serial(router_key, monkeypatch):
+    force_host(monkeypatch, 4, "native", True)
+    router = make_router(
+        router_key, sparse_case(), parallelism=2, batch_backend="auto",
+        min_fork_batch=2,
+    )
+    assert router.batch_executor.backend == "thread"
+    fingerprint = solution_fingerprint(router.run())
+    assert fingerprint == serial_reference(router_key)
+    assert router.batch_executor.stats.parallel_batches > 0
+
+
+@needs_fork
+@pytest.mark.parametrize("router_key", sorted(ROUTERS))
+def test_auto_backend_pool_is_bit_identical_to_serial(router_key, monkeypatch):
+    force_host(monkeypatch, 4, "python", True)
+    router = make_router(
+        router_key, sparse_case(), parallelism=2, batch_backend="auto",
+        min_fork_batch=2,
+    )
+    assert router.batch_executor.backend == "pool"
+    fingerprint = solution_fingerprint(router.run())
+    assert fingerprint == serial_reference(router_key)
+    stats = router.batch_executor.stats
+    assert stats.parallel_batches > 0 and stats.pool_forks > 0
+
+
+def test_auto_backend_survives_injected_faults(monkeypatch):
+    # Fail every speculative compute under an auto-resolved thread
+    # backend: the ladder must demote to serial and the run must stay
+    # bit-identical.
+    force_host(monkeypatch, 4, "native", True)
+    monkeypatch.setenv("REPRO_BATCH_RETRIES", "0")
+    monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
+    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
+    reference = serial_reference("color-state")
+    with faults.injected("compute.error:times=*"):
+        router = make_router(
+            "color-state", sparse_case(), parallelism=2,
+            batch_backend="auto", min_fork_batch=2,
+        )
+        fingerprint = solution_fingerprint(router.run())
+    executor = router.batch_executor
+    assert fingerprint == reference
+    assert executor.stats.demotions == 1  # thread -> serial
+    assert executor.active_backend == "serial"
+
+
+# ----------------------------------------------------------------------
+# Pool accounting: counters across discard/re-fork, suffix batching
+# ----------------------------------------------------------------------
+
+@needs_fork
+def test_pool_counters_survive_discard_and_refork():
+    design = sparse_case()
+    router = make_router(
+        "color-state", design, parallelism=2, batch_backend="pool",
+        min_fork_batch=2,
+    )
+    executor = router.batch_executor
+    nets = router.schedule_nets()
+    assert len(nets) >= 20
+    split = len(nets) // 2
+    solution = RoutingSolution(design_name=design.name, router_name=router.name)
+    try:
+        executor.route_nets(nets[:split], solution)
+        executor._drain_pool_stats()
+        first_forks = executor.stats.pool_forks
+        first_replayed = executor.stats.replayed_ops
+        first_messages = executor.stats.suffix_messages
+        assert first_forks == 2  # one persistent fork per worker
+        # Drain is delta-based: draining again must not double count.
+        executor._drain_pool_stats()
+        assert executor.stats.pool_forks == first_forks
+        assert executor.stats.replayed_ops == first_replayed
+        assert executor.stats.suffix_messages == first_messages
+        # Discard (e.g. checkpoint restore / demotion) folds the final
+        # deltas in before dropping the pool...
+        executor._discard_pool()
+        assert executor.stats.pool_forks == first_forks
+        # ...and the lazy re-fork starts a fresh generation whose counters
+        # accumulate on top instead of resetting or re-adding.
+        executor.route_nets(nets[split:], solution)
+        executor._drain_pool_stats()
+        assert executor.stats.pool_forks == first_forks + 2
+        assert executor.stats.replayed_ops >= first_replayed
+    finally:
+        executor.close()
+
+
+@needs_fork
+def test_suffix_message_batching_accounts_and_elides():
+    router = make_router(
+        "color-state", sparse_case(), parallelism=2, batch_backend="pool",
+        min_fork_batch=2,
+    )
+    fingerprint = solution_fingerprint(router.run())
+    assert fingerprint == serial_reference("color-state")
+    stats = router.batch_executor.stats
+    assert stats.suffix_messages > 0
+    # The shared frame cache: two workers at the same journal cursor get
+    # one pickle, so strictly fewer pickles than messages...
+    assert stats.suffix_pickles < stats.suffix_messages
+    # ...and the saved duplicate bytes are accounted.
+    assert stats.suffix_bytes_saved > 0
+    assert stats.suffix_bytes > 0
+    # In-sync workers get the None sentinel instead of an empty frame.
+    assert stats.suffix_elisions >= 0
+    # The counters ride into the merged dict (campaign/bench JSON).
+    merged = stats.as_dict()
+    for key in (
+        "suffix_messages", "suffix_pickles", "suffix_bytes",
+        "suffix_bytes_saved", "suffix_elisions",
+    ):
+        assert merged[key] == getattr(stats, key)

@@ -39,6 +39,7 @@ from repro.io.journal_io import (
     CHECKPOINT_FORMAT_V1,
     CHECKPOINT_FORMAT_V2,
     _write_atomic,
+    checkpoint_checksum,
     checkpoint_from_dict,
     checkpoint_to_dict,
     journal_from_dict,
@@ -446,6 +447,47 @@ def test_sigkilled_campaign_resumes_bit_identical(router_key, tmp_path):
     assert solution_fingerprint(resumed_solution) == solution_fingerprint(reference)
     # ...and the resumed campaign's own final checkpoint is now complete.
     assert load_checkpoint_document(path)["campaign"]["done"] is True
+
+
+class _Interrupted(Exception):
+    """Raised from an on_checkpoint hook to stop a campaign mid-loop."""
+
+
+def test_resume_carries_retired_executor_stats_keys(tmp_path):
+    # Older checkpoints record executor counters this version no longer
+    # produces (``autotune_decisions``).  Resuming from one must still be
+    # bit-identical, and the merge-by-key must carry the retired counter
+    # through unchanged instead of dropping or rejecting it.
+    kwargs = dict(use_global_router=False, parallelism=2, batch_backend="serial")
+    reference, _grid, _resumed = route_with_checkpoint(
+        fig1_dense_cluster(), MrTPLRouter, tmp_path / "reference.json", **kwargs
+    )
+
+    def interrupt(campaign):
+        if campaign.iteration >= 1 and not campaign.done:
+            raise _Interrupted()
+
+    path = tmp_path / "interrupted.json"
+    with pytest.raises(_Interrupted):
+        route_with_checkpoint(
+            fig1_dense_cluster(), MrTPLRouter, path, on_checkpoint=interrupt, **kwargs
+        )
+    document = load_checkpoint_document(path)
+    assert document["campaign"]["done"] is False
+    assert document["campaign"]["executor_stats"]["nets_routed"] > 0
+    document["campaign"]["executor_stats"]["autotune_decisions"] = 3
+    document["checksum"] = checkpoint_checksum(document)
+    path.write_text(json.dumps(document))
+
+    resumed_solution, _grid, resumed = route_with_checkpoint(
+        fig1_dense_cluster(), MrTPLRouter, path, **kwargs
+    )
+    assert resumed
+    assert routes_dict(resumed_solution) == routes_dict(reference)
+    assert solution_fingerprint(resumed_solution) == solution_fingerprint(reference)
+    campaign = load_checkpoint_document(path)["campaign"]
+    assert campaign["done"] is True
+    assert campaign["executor_stats"]["autotune_decisions"] == 3
 
 
 def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
