@@ -50,7 +50,7 @@ CHAOS_PLAN = (
 
 RECOVERY_KEYS = (
     "worker_errors", "retries", "deadline_timeouts", "worker_replacements",
-    "demotions", "bootstrap_fallbacks", "worker_kills", "heartbeats",
+    "demotions", "worker_kills",
 )
 
 
@@ -109,7 +109,7 @@ def main(argv=None):
             fired = ", ".join(
                 f"{counter}={stats[counter]}"
                 for counter in RECOVERY_KEYS
-                if stats[counter] and counter != "heartbeats"
+                if stats[counter]
             )
             print(
                 f"{key:<12} seed={seed:<3} {seconds:.3f}s "

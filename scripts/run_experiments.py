@@ -11,11 +11,11 @@ A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
 rip-up loop (speculative backend, order-preserving prefix policy --
 bit-identical results, concurrent batch computation on multi-core hosts).
 ``--backend pool`` uses the persistent journal-replicated worker pool
-(workers fork once and catch up between batches by journal-suffix replay).
-``--min-fork-batch`` and ``--margin-cells`` expose the executor/scheduler
-tuning knobs (defaults: the ``REPRO_MIN_FORK_BATCH`` /
-``REPRO_BATCH_MARGIN`` environment, then 3 / 0) so multi-core hosts can
-tune them from the recorded fallback counters.
+(workers fork once and catch up between batches by journal-suffix replay;
+it needs the ``fork`` start method).  ``--min-fork-batch`` and
+``--margin-cells`` expose the executor/scheduler tuning knobs (defaults
+3 / 0) so multi-core hosts can tune them from the recorded fallback
+counters.
 
 Rows are appended to ``experiment_results.jsonl`` in the repository root so a
 partially completed run is still usable for EXPERIMENTS.md.
@@ -49,14 +49,14 @@ def parse_args() -> argparse.Namespace:
         type=int,
         default=None,
         help="smallest batch that starts the pool backend's workers "
-        "(default: REPRO_MIN_FORK_BATCH or 3)",
+        "(default: 3)",
     )
     parser.add_argument(
         "--margin-cells",
         type=int,
         default=None,
         help="extra scheduler window margin in cells "
-        "(default: REPRO_BATCH_MARGIN or 0)",
+        "(default: 0)",
     )
     return parser.parse_args()
 

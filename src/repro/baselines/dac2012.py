@@ -231,7 +231,9 @@ class Dac2012Router:
     the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
     the default keeps the plain sequential loop.  ``batch_backend="auto"``
     picks the backend from the host; failing batches demote it down the
-    ``pool -> thread -> serial`` ladder.
+    ``pool -> thread -> serial`` ladder.  The ``pool`` backend forks its
+    workers, so it raises ``ValueError`` on a platform without the
+    ``fork`` start method.
     """
 
     name = "dac2012"
@@ -390,20 +392,6 @@ class Dac2012Router:
         if self._engine_kind != "flat":
             return None
         return MaskExpandedSearch(self.grid, self.cost_model, self.max_expansions)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        Used by the snapshot-bootstrapped pool workers, which construct
-        their own router over a grid rebuilt from the journal's fold
-        snapshot instead of inheriting the parent's through fork.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "use_global_router": False,
-            "max_iterations": self.max_iterations,
-            "engine": self._engine_kind,
-        }
 
     # ------------------------------------------------------------------
 

@@ -83,6 +83,7 @@ from repro.accel import (
 from repro.profiling import PHASE_NAMES, global_phase_delta, global_phase_snapshot
 from repro.design import Design, Net, Obstacle, Pin
 from repro.geometry import Point, Rect
+from repro.sched.executor import DEFAULT_MIN_FORK_BATCH
 from repro.tech import DesignRules, make_default_tech
 from repro.utils.env import env_float
 
@@ -456,8 +457,8 @@ def run_batch_sched_benchmarks(
     parallelism: int = 4,
     backends: Tuple[str, ...] = ("thread",),
     policy: str = "prefix",
-    min_fork_batch: Optional[int] = None,
-    margin_cells: Optional[int] = None,
+    min_fork_batch: int = DEFAULT_MIN_FORK_BATCH,
+    margin_cells: int = 0,
     dense_cases: Tuple[Tuple[str, int], ...] = DENSE_CASES,
     sparse_cases: Tuple[Tuple[str, int], ...] = SPARSE_CASES,
 ) -> Dict[str, object]:
@@ -468,11 +469,14 @@ def run_batch_sched_benchmarks(
     the :mod:`repro.sched` disjoint-batch executor (default: the
     speculative thread backend at the order-preserving ``prefix`` policy;
     ``pool`` exercises the persistent journal-replicated workers).  The run
-    asserts every batched solution is identical to the sequential one (the
+    checks every batched solution is identical to the sequential one (the
     determinism guarantee of the prefix policy) and records one result row
-    per backend: median wall-clocks plus the executor's full
+    per backend: the three identity checks separately (sequential repeats
+    agree, batched repeats agree, batched equals sequential, and their
+    conjunction ``identical_solutions``), median wall-clocks plus the
+    executor's full
     ``ExecutorStats`` counters (speculation accept/fallback, worker errors,
-    pool forks, replayed journal ops).  The effective ``min_fork_batch`` /
+    pool forks, replayed journal ops).  The ``min_fork_batch`` /
     ``margin_cells`` knob values are recorded in the document so a saved
     baseline documents the tuning that produced it.  ``cpu_count`` is
     recorded too: the speculative backends can only turn batch concurrency
@@ -482,14 +486,11 @@ def run_batch_sched_benchmarks(
     from repro.baselines.dac2012 import Dac2012Router
     from repro.bench.suites import suite_case
     from repro.dr.router import DetailedRouter
-    from repro.sched import resolve_batch_margin, resolve_min_fork_batch
     from repro.tpl.mr_tpl import MrTPLRouter
 
     if scale is None:
         scale = default_bench_scale()
     repeat = max(1, repeat)
-    min_fork_batch = resolve_min_fork_batch(min_fork_batch)
-    margin_cells = resolve_batch_margin(margin_cells)
     router_classes = {
         "maze": DetailedRouter,
         "color-state": MrTPLRouter,
@@ -537,6 +538,7 @@ def run_batch_sched_benchmarks(
             seq_seconds, seq_digest, seq_stable, _ = run_mode(None)
             for backend in backends:
                 seconds, digest, stable, batch_stats = run_mode(backend)
+                matches = digest == seq_digest
                 results.append(
                     {
                         "suite": case_suite,
@@ -546,9 +548,10 @@ def run_batch_sched_benchmarks(
                         "sequential_seconds": round(seq_seconds, 4),
                         "batched_seconds": round(seconds, 4),
                         "speedup": round(seq_seconds / max(seconds, 1e-9), 3),
-                        "identical_solutions": seq_stable
-                        and stable
-                        and digest == seq_digest,
+                        "sequential_stable": seq_stable,
+                        "batched_stable": stable,
+                        "batched_matches_sequential": matches,
+                        "identical_solutions": seq_stable and stable and matches,
                         "batch_stats": batch_stats,
                         "metrics": digest[1],
                     }
@@ -1063,7 +1066,7 @@ def run_fault_tolerance_benchmarks(
     """
     import multiprocessing
     import tempfile
-    from contextlib import ExitStack
+    from contextlib import nullcontext
     from pathlib import Path
 
     from repro import faults
@@ -1071,6 +1074,7 @@ def run_fault_tolerance_benchmarks(
     from repro.eval.experiments import route_with_checkpoint
     from repro.grid import RoutingGrid
     from repro.io.journal_io import load_checkpoint_document
+    from repro.sched import SupervisorConfig
     from repro.tpl.mr_tpl import MrTPLRouter
 
     if scale is None:
@@ -1078,7 +1082,7 @@ def run_fault_tolerance_benchmarks(
     have_fork = "fork" in multiprocessing.get_all_start_methods()
     recovery_keys = (
         "worker_errors", "retries", "deadline_timeouts", "worker_replacements",
-        "demotions", "bootstrap_fallbacks", "worker_kills", "heartbeats",
+        "demotions", "worker_kills",
     )
 
     def build():
@@ -1093,34 +1097,24 @@ def run_fault_tolerance_benchmarks(
 
     results: List[Dict[str, object]] = []
     legs = (
-        ("fault-free", None, {}),
-        ("worker-crash", "worker.crash:worker=0,op=200", {}),
+        ("fault-free", None, None),
+        ("worker-crash", "worker.crash:worker=0,op=200", None),
         ("worker-hang", "worker.hang:worker=0,seconds=30",
-         {"REPRO_BATCH_DEADLINE": f"{deadline}"}),
-        ("reply-delay", "reply.delay:seconds=0.01,times=*", {}),
+         SupervisorConfig(deadline_override=deadline)),
+        ("reply-delay", "reply.delay:seconds=0.01,times=*", None),
     )
     fault_free_seconds = None
-    for leg, plan, env in legs:
+    for leg, plan, supervisor in legs:
         if not have_fork:
             continue  # the pool legs need fork; the report records the gap
-        with ExitStack() as stack:
-            for key, value in env.items():
-                previous = os.environ.get(key)
-                os.environ[key] = value
-                stack.callback(
-                    lambda key=key, previous=previous: (
-                        os.environ.__setitem__(key, previous)
-                        if previous is not None
-                        else os.environ.pop(key, None)
-                    )
-                )
-            if plan is not None:
-                stack.enter_context(faults.injected(plan))
+        with faults.injected(plan) if plan is not None else nullcontext():
             case = build()
             router = MrTPLRouter(
                 case, grid=RoutingGrid(case), use_global_router=False,
                 parallelism=2, batch_backend="pool", min_fork_batch=2,
             )
+            if supervisor is not None:
+                router.batch_executor.supervisor = supervisor
             start = time.perf_counter()
             fingerprint = solution_fingerprint(router.run())
             seconds = time.perf_counter() - start
@@ -1302,16 +1296,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--min-fork-batch",
         type=int,
-        default=None,
+        default=DEFAULT_MIN_FORK_BATCH,
         help="smallest batch that starts the pool backend's workers (default: "
-        "REPRO_MIN_FORK_BATCH or 3; --batched only)",
+        f"{DEFAULT_MIN_FORK_BATCH}; --batched only)",
     )
     parser.add_argument(
         "--margin-cells",
         type=int,
-        default=None,
-        help="extra scheduler window margin in cells (default: "
-        "REPRO_BATCH_MARGIN or 0; --batched only)",
+        default=0,
+        help="extra scheduler window margin in cells (default: 0; "
+        "--batched only)",
     )
     parser.add_argument(
         "--out",

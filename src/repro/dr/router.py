@@ -14,7 +14,7 @@ into the OpenMPL-like layout decomposer.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.campaign import CampaignState
 from repro.check import IncrementalDRCChecker
@@ -39,7 +39,8 @@ class DetailedRouter:
     the default (``parallelism=1``, no batch size) keeps the plain
     sequential loop.  ``batch_backend="auto"`` picks the backend from the
     host; failing batches demote it down the ``pool -> thread -> serial``
-    ladder.
+    ladder.  The ``pool`` backend forks its workers, so it raises
+    ``ValueError`` on a platform without the ``fork`` start method.
     """
 
     name = "plain-dr"
@@ -186,21 +187,6 @@ class DetailedRouter:
         if self._engine_kind != "flat":
             return None
         return MazeRouter(self.grid, self.cost_model)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        The snapshot-bootstrapped pool workers construct their own router
-        over a grid they rebuilt from the journal's fold snapshot (no fork
-        inheritance), so everything ``compute_route`` depends on must be
-        picklable and listed here.  Batch/parallelism knobs are deliberately
-        absent -- workers route serially.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "max_iterations": self.max_iterations,
-            "engine": self._engine_kind,
-        }
 
     def schedule_nets(self) -> List[Net]:
         """Return routable nets ordered for sequential routing.

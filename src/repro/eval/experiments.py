@@ -472,7 +472,7 @@ def route_with_checkpoint(
     producing a solution bit-identical to the uninterrupted run's.
 
     Fault tolerance: each save retains the previous *checkpoint_keep*
-    generations (default: the ``REPRO_CHECKPOINT_KEEP`` env knob, 2) and
+    generations (default 2) and
     resume falls back to the newest generation whose integrity checksum
     validates, so a torn or corrupted newest file costs at most one
     checkpoint interval, not the campaign.  The campaign's cumulative

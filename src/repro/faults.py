@@ -72,9 +72,6 @@ Injection sites
     Speculative compute raises :class:`FaultError` (fires on both
     speculative backends: thread and pool workers both route through
     ``_compute_speculative``).
-``bootstrap.fail``
-    Snapshot-bootstrapped worker fails its payload *decode* stage with a
-    classified error -- exercising the fall-back-to-fork path.
 ``checkpoint.tear``
     ``journal_io._write_atomic`` writes a torn (truncated, non-atomic)
     document to the *final* path, simulating the power-loss window a
@@ -105,7 +102,6 @@ SITES = (
     "reply.delay",
     "pipe.drop",
     "compute.error",
-    "bootstrap.fail",
     "checkpoint.tear",
 )
 
@@ -124,7 +120,7 @@ _CONTEXT: Dict[str, object] = {}
 
 
 class FaultError(RuntimeError):
-    """An injected failure (the payload of ``compute.error`` / ``bootstrap.fail``)."""
+    """An injected failure (the payload of ``compute.error``)."""
 
 
 class PipeDropFault(Exception):
@@ -324,8 +320,6 @@ def fire(site: str, **ctx: object) -> Optional[FaultClause]:
         raise PipeDropFault(f"injected pipe drop at worker {ctx.get('worker')}")
     elif site == "compute.error":
         raise FaultError(f"injected compute error (net {ctx.get('net')!r})")
-    elif site == "bootstrap.fail":
-        raise FaultError("injected snapshot payload decode failure")
     return clause
 
 

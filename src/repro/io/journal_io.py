@@ -51,13 +51,11 @@ from repro.io.json_io import (
     solution_to_dict,
 )
 from repro.journal import MutationJournal, ops_from_jsonable, ops_to_jsonable
-from repro.utils.env import env_int
 
 PathLike = Union[str, Path]
 
-#: How many checkpoint generations :func:`save_checkpoint` retains
-#: (``path`` plus ``path.1`` .. ``path.K-1``); at least 1.
-CHECKPOINT_KEEP_ENV = "REPRO_CHECKPOINT_KEEP"
+#: How many checkpoint generations :func:`save_checkpoint` retains by
+#: default (``path`` plus ``path.1`` .. ``path.K-1``).
 DEFAULT_CHECKPOINT_KEEP = 2
 
 
@@ -309,10 +307,8 @@ def checkpoint_campaign(
 
 
 def resolve_checkpoint_keep(explicit: Optional[int] = None) -> int:
-    """Return the retained-generation count (arg > env > default, min 1)."""
-    if explicit is not None:
-        return max(1, explicit)
-    return max(1, env_int(CHECKPOINT_KEEP_ENV, DEFAULT_CHECKPOINT_KEEP))
+    """Return the retained-generation count (default when ``None``, min 1)."""
+    return DEFAULT_CHECKPOINT_KEEP if explicit is None else max(1, explicit)
 
 
 def checkpoint_candidates(path: PathLike, keep: Optional[int] = None) -> List[Path]:
@@ -361,8 +357,8 @@ def save_checkpoint(
 ) -> None:
     """Write a campaign checkpoint to *path* as JSON (atomically + durably).
 
-    With ``keep > 1`` (default: the ``REPRO_CHECKPOINT_KEEP`` env knob,
-    2), the previous generations are rotated to ``path.1`` .. first, so a
+    With ``keep > 1`` (default: :data:`DEFAULT_CHECKPOINT_KEEP`, 2), the
+    previous generations are rotated to ``path.1`` .. first, so a
     save that lands torn (filesystem without atomic rename, injected
     ``checkpoint.tear`` fault) still leaves an older complete document for
     :func:`load_checkpoint_document_with_fallback` to resume from.

@@ -17,16 +17,16 @@ package converts the remaining serial outer loop into batched throughput:
   see the merged batch) and falls back to live routing when regions touch.
   The ``pool`` backend's workers fork **once** and re-synchronise between
   batches by replaying the grid journal suffix past their cursor -- no
-  re-fork, no snapshot serialisation.
+  re-fork, no snapshot serialisation.  It needs the ``fork`` start
+  method; asking for it on a platform without one is a ``ValueError``.
 
 All three rip-up loops (``dr/router``, ``tpl/mr_tpl``,
 ``baselines/dac2012``) wire in through their ``parallelism`` /
 ``batch_size`` / ``batch_backend`` constructor knobs, plus the
-``min_fork_batch`` / ``batch_margin`` tuning knobs (also settable through
-the ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment).
+``min_fork_batch`` / ``batch_margin`` tuning knobs.
 
 Execution is **supervised** (:mod:`repro.sched.supervisor`): per-batch
-wall-clock deadlines, pool-worker heartbeats, classified failures with
+wall-clock deadlines, dead-worker detection, classified failures with
 bounded exponential-backoff retry and single-worker replacement, and a
 graceful-degradation ladder (pool -> thread -> serial) that demotes the
 backend after consecutive failures -- serial being the always-correct
@@ -47,10 +47,6 @@ from repro.sched.executor import (
     PersistentWorkerPool,
     make_batch_executor,
     recommend_backend,
-    resolve_batch_margin,
-    resolve_min_fork_batch,
-    resolve_pool_bootstrap,
-    resolve_pool_snapshot_ops,
     usable_cpu_count,
 )
 from repro.sched.supervisor import (
@@ -81,9 +77,5 @@ __all__ = [
     "make_batch_executor",
     "RecordingSink",
     "apply_route_ops",
-    "resolve_batch_margin",
-    "resolve_min_fork_batch",
-    "resolve_pool_bootstrap",
-    "resolve_pool_snapshot_ops",
     "windows_overlap",
 ]

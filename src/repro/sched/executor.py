@@ -25,7 +25,9 @@ plans, through one of three backends:
     no re-fork, no snapshot serialisation.  Because replay is
     bit-identical (the journal replay guarantee), a caught-up worker's
     grid is byte-for-byte the parent's, and the same explored-region
-    validation + live-reroute fallback applies unchanged.
+    validation + live-reroute fallback applies unchanged.  The backend
+    needs the ``fork`` start method; without it, asking for ``pool`` is a
+    ``ValueError``.
 
     Commits are then applied **serially in batch order** with a speculative
     validation step: a snapshot-computed route is exact iff the search
@@ -75,74 +77,16 @@ from repro.sched.supervisor import (
     WorkerFailure,
     await_worker_reply,
     classify_exception,
-    classify_worker_payload,
     degradation_ladder,
 )
-from repro.utils.env import env_int, env_str
 
 #: Backends accepted by :class:`BatchExecutor` (``"auto"`` additionally
 #: accepted by :func:`make_batch_executor`, which resolves it with
 #: :func:`recommend_backend` before the executor is built).
 BACKENDS = ("serial", "thread", "pool")
 
-#: Environment knobs (overridden by explicit arguments): the smallest batch
-#: that starts the pool's workers, and the scheduler's extra window margin
-#: in cells.
-MIN_FORK_BATCH_ENV = "REPRO_MIN_FORK_BATCH"
-BATCH_MARGIN_ENV = "REPRO_BATCH_MARGIN"
-
-#: How pool workers come to hold the parent's grid state: ``fork`` (inherit
-#: through the fork itself), ``snapshot`` (rebuild from a pickled design +
-#: grid snapshot + journal suffix -- the distributed-worker bootstrap path,
-#: and the only one available without the fork start method), or ``auto``
-#: (fork when available, snapshot otherwise).
-POOL_BOOTSTRAP_ENV = "REPRO_POOL_BOOTSTRAP"
-#: Snapshot-mode payload refresh threshold: once the journal head has moved
-#: this many ops past the cached bootstrap snapshot, the next worker start
-#: re-snapshots the grid instead of shipping an ever-longer suffix.
-POOL_SNAPSHOT_OPS_ENV = "REPRO_POOL_SNAPSHOT_OPS"
-
-#: Built-in defaults behind the env knobs.
+#: Smallest batch that starts the pool's workers when the caller gives none.
 DEFAULT_MIN_FORK_BATCH = 3
-DEFAULT_BATCH_MARGIN = 0
-DEFAULT_POOL_BOOTSTRAP = "auto"
-DEFAULT_POOL_SNAPSHOT_OPS = 4096
-
-#: Bootstrap modes accepted by :func:`resolve_pool_bootstrap`.
-POOL_BOOTSTRAPS = ("auto", "fork", "snapshot")
-
-
-def resolve_min_fork_batch(explicit: Optional[int] = None) -> int:
-    """Return the effective ``min_fork_batch`` knob (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(MIN_FORK_BATCH_ENV, DEFAULT_MIN_FORK_BATCH)
-
-
-def resolve_batch_margin(explicit: Optional[int] = None) -> int:
-    """Return the effective scheduler window margin in cells (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(BATCH_MARGIN_ENV, DEFAULT_BATCH_MARGIN)
-
-
-def resolve_pool_bootstrap(explicit: Optional[str] = None) -> str:
-    """Return the effective pool bootstrap mode (arg > env > ``auto``)."""
-    mode = explicit if explicit is not None else env_str(
-        POOL_BOOTSTRAP_ENV, DEFAULT_POOL_BOOTSTRAP
-    )
-    if mode not in POOL_BOOTSTRAPS:
-        raise ValueError(
-            f"unknown pool bootstrap {mode!r}; expected one of {POOL_BOOTSTRAPS}"
-        )
-    return mode
-
-
-def resolve_pool_snapshot_ops(explicit: Optional[int] = None) -> int:
-    """Return the snapshot-payload refresh threshold (arg > env > default)."""
-    if explicit is not None:
-        return explicit
-    return env_int(POOL_SNAPSHOT_OPS_ENV, DEFAULT_POOL_SNAPSHOT_OPS)
 
 
 def usable_cpu_count() -> int:
@@ -200,13 +144,11 @@ class ExecutorStats:
     #: Pool workers that ignored the shutdown message and had to be
     #: terminated/killed at close (hung-worker escalation).
     worker_kills: int = 0
-    #: Pool workers that rebuilt their grid from a snapshot payload instead
-    #: of inheriting it through fork (``snapshot`` bootstrap mode).
-    snapshot_bootstraps: int = 0
     #: Failed parallel batches retried on the same backend tier (bounded by
-    #: ``REPRO_BATCH_RETRIES``, exponential backoff between attempts).
+    #: ``SupervisorConfig.max_retries``, exponential backoff between
+    #: attempts).
     retries: int = 0
-    #: Worker failures classified as deadline/heartbeat timeouts.
+    #: Worker failures classified as batch-deadline timeouts.
     deadline_timeouts: int = 0
     #: Failed pool workers removed and replaced individually (the pool
     #: survives; only the broken worker restarts).
@@ -214,11 +156,6 @@ class ExecutorStats:
     #: Backend demotions down the degradation ladder (pool -> thread ->
     #: serial) after consecutive retry-exhausted failures.
     demotions: int = 0
-    #: Snapshot-bootstrap decode failures recovered by falling back to the
-    #: fork bootstrap path for that worker slot.
-    bootstrap_fallbacks: int = 0
-    #: Heartbeat messages received from pool workers (liveness evidence).
-    heartbeats: int = 0
     #: Coalesced journal-suffix catch-up messages actually shipped to pool
     #: workers (one framed message per worker per batch).
     suffix_messages: int = 0
@@ -255,13 +192,10 @@ class ExecutorStats:
             "pool_forks": self.pool_forks,
             "replayed_ops": self.replayed_ops,
             "worker_kills": self.worker_kills,
-            "snapshot_bootstraps": self.snapshot_bootstraps,
             "retries": self.retries,
             "deadline_timeouts": self.deadline_timeouts,
             "worker_replacements": self.worker_replacements,
             "demotions": self.demotions,
-            "bootstrap_fallbacks": self.bootstrap_fallbacks,
-            "heartbeats": self.heartbeats,
             "suffix_messages": self.suffix_messages,
             "suffix_pickles": self.suffix_pickles,
             "suffix_bytes": self.suffix_bytes,
@@ -321,26 +255,30 @@ class SpeculativeRoute:
 _POOL_ROUTER: Optional[object] = None
 
 
-def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
-    """Run a pool worker's serve loop until shutdown or pipe close.
+def _pool_worker_main(conn, worker_index: int = 0) -> None:
+    """Entry point and serve loop of a forked pool worker.
 
-    Shared by both bootstrap paths (fork-inherited and snapshot-rebuilt
-    workers); by the time it runs the worker's grid must be byte-identical
-    to the parent's at some journal cursor, with no journal attached and no
-    delta listeners registered.
+    The worker first drops the per-process grid attachments it must not
+    carry: the journal (a copy would only duplicate the parent's, and
+    suffix replay must not be re-recorded in the child) and the
+    incremental-checker delta listeners (nobody drains them in a worker,
+    so their bookkeeping per replayed op would be pure waste).
 
-    Protocol: the worker interleaves ``("hb", ops_seen)`` heartbeat
-    messages (after catch-up replay, and after each routed net) with the
-    terminal ``("ok", payload)`` / ``("error", detail)`` reply, so the
-    parent's supervised receive loop can tell "slow but alive" from
-    "hung".  Errors are structured dicts carrying the failure kind
-    (``replay`` vs ``compute``), the worker index, the cumulative
-    replayed-op count and the failing net -- the classification the
-    supervisor's retry policy runs on.
+    Protocol: every ``(suffix_frame, net_names)`` message is answered by
+    exactly one ``("ok", payload)`` or ``("error", detail)`` reply.
+    Errors are structured dicts carrying the failure kind (``replay`` vs
+    ``compute``), the worker index, the cumulative replayed-op count and
+    the failing net -- the classification the supervisor's retry policy
+    runs on.
     """
     from repro.journal import replay_ops
 
+    router = _POOL_ROUTER
     grid = router.grid
+    grid.detach_journal()
+    for listener in list(grid._delta_listeners):
+        grid.remove_delta_listener(listener)
+    engine = router.make_search_engine()
     design = router.design
     ops_seen = 0
     faults.set_context(worker=worker_index)
@@ -373,8 +311,6 @@ def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
                     continue
                 if faults.ARMED:
                     faults.fire("worker.crash", worker=worker_index, ops_seen=ops_seen)
-                # Liveness: catch-up replay done, compute starting.
-                conn.send(("hb", ops_seen))
                 payload = []
                 failed = None
                 for name in net_names:
@@ -392,7 +328,6 @@ def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
                         }
                         break
                     payload.append((spec.route, spec.ops, spec.explored_box))
-                    conn.send(("hb", ops_seen))
                 if faults.ARMED and failed is None:
                     faults.fire("pipe.drop", worker=worker_index)
                 if failed is not None:
@@ -405,85 +340,6 @@ def _serve_pool_worker(conn, router, engine, worker_index: int = 0) -> None:
                 break
     finally:
         conn.close()
-
-
-def _strip_worker_grid(grid) -> None:
-    """Drop per-process grid attachments a worker must not carry.
-
-    The journal: a worker's copy would only duplicate what the parent
-    already holds, and suffix replay must not be re-recorded in the child.
-    The incremental-checker delta listeners: nobody ever drains them in a
-    worker, so their dirty-set bookkeeping per replayed op would be pure
-    waste (and unbounded memory).
-    """
-    grid.detach_journal()
-    for listener in list(grid._delta_listeners):
-        grid.remove_delta_listener(listener)
-
-
-def _pool_worker_main(conn, worker_index: int = 0) -> None:
-    """Entry point of a fork-bootstrapped worker (state inherited by fork)."""
-    router = _POOL_ROUTER
-    _strip_worker_grid(router.grid)
-    engine = router.make_search_engine()
-    _serve_pool_worker(conn, router, engine, worker_index)
-
-
-def _snapshot_worker_main(conn, worker_index: int = 0) -> None:
-    """Entry point of a snapshot-bootstrapped worker.
-
-    The worker inherits nothing: its first message is the pickled
-    ``(design, router_cls, kwargs, snapshot)`` bootstrap payload plus the
-    journal suffix past the snapshot's cursor.  It rebuilds the grid by
-    snapshot-restore + suffix replay -- bit-identical to the parent's by
-    the snapshot/replay guarantees, at O(grid + suffix) cost regardless of
-    campaign age -- then enters the normal serve loop.  This is the
-    bootstrap path remote (non-fork) workers will use.
-
-    Bootstrap errors report which stage failed -- ``decode`` (unpickling
-    the payload: possibly a transient serialisation problem, worth one
-    fork-bootstrap fallback) vs ``rebuild`` (snapshot restore / replay /
-    router construction: the payload itself is bad).
-    """
-    from repro.grid import RoutingGrid
-    from repro.journal import replay_ops
-
-    stage = "recv"
-    try:
-        try:
-            message = conn.recv()
-        except EOFError:
-            return
-        if message is None:
-            return
-        payload_bytes, suffix_bytes = message
-        stage = "decode"
-        if faults.ARMED:
-            faults.fire("bootstrap.fail", worker=worker_index)
-        design, router_cls, kwargs, snapshot = pickle.loads(payload_bytes)
-        stage = "rebuild"
-        grid = RoutingGrid(design)
-        grid.restore_state(snapshot)
-        replay_ops(grid, pickle.loads(suffix_bytes))
-        router = router_cls(design, grid=grid, **kwargs)
-        _strip_worker_grid(grid)
-        engine = router.make_search_engine()
-    except Exception as exc:
-        try:
-            conn.send(("error", {
-                "kind": "bootstrap", "stage": stage,
-                "error": repr(exc), "worker": worker_index,
-            }))
-        except (BrokenPipeError, OSError):
-            pass
-        conn.close()
-        return
-    try:
-        conn.send(("ok", None))  # bootstrap handshake
-    except (BrokenPipeError, OSError):
-        conn.close()
-        return
-    _serve_pool_worker(conn, router, engine, worker_index)
 
 
 def _shutdown_workers(
@@ -531,72 +387,34 @@ class _PoolWorker:
 
 
 class PersistentWorkerPool:
-    """A set of persistent worker processes kept in sync by journal replay.
+    """A set of persistent forked worker processes kept in sync by journal replay.
 
-    Workers come to hold the parent's grid state exactly once each --
-    **lazily**, as batches actually demand them, so a campaign whose
-    batches never grow past two nets only ever starts two workers.  Two
-    bootstrap modes:
+    Workers are forked **lazily**, as batches actually demand them, so a
+    campaign whose batches never grow past two nets only ever starts two
+    workers.  A worker inherits the parent's full state through the fork
+    itself, so a late-forked worker needs no catch-up (born holding the
+    current state, cursor at the journal head).
 
-    ``fork``
-        The worker inherits the parent's full state through ``fork``
-        itself; a late-forked worker needs no catch-up (born holding the
-        current state, cursor at the journal head).
-
-    ``snapshot``
-        The worker inherits nothing and rebuilds its grid from a pickled
-        ``(design, router_cls, kwargs, snapshot)`` payload plus the journal
-        suffix past the snapshot cursor -- O(grid + suffix) regardless of
-        campaign age.  The payload is cached across worker starts and
-        re-snapshotted once the head moves *snapshot_refresh_ops* past it,
-        so a late-joining worker never replays more than one refresh
-        window.  This path works without the fork start method and is the
-        stepping stone to workers on other machines.
-
-    Either way, the parent tracks one journal cursor per worker and, before
-    assigning a batch slice, ships the suffix of ops the worker has not yet
-    seen.  Only workers that participate in a batch catch up -- idle
-    workers simply accumulate a longer suffix for next time.
+    The parent tracks one journal cursor per worker and, before assigning
+    a batch slice, ships the suffix of ops the worker has not yet seen.
+    Only workers that participate in a batch catch up -- idle workers
+    simply accumulate a longer suffix for next time.
     """
 
-    def __init__(
-        self,
-        context,
-        router,
-        size: int,
-        bootstrap: str = "fork",
-        snapshot_refresh_ops: Optional[int] = None,
-        config: Optional[SupervisorConfig] = None,
-        fork_ok: bool = False,
-    ) -> None:
+    def __init__(self, router, size: int) -> None:
         if router.grid.journal is None:
             raise RuntimeError("pool workers require a journal attached to the grid")
-        if bootstrap not in ("fork", "snapshot"):
-            raise ValueError(
-                f"unknown pool bootstrap {bootstrap!r}; expected 'fork' or 'snapshot'"
-            )
-        self.context = context
+        self.context = multiprocessing.get_context("fork")
         self.router = router
         self.size = max(1, size)
-        self.bootstrap = bootstrap
-        self.snapshot_refresh_ops = resolve_pool_snapshot_ops(snapshot_refresh_ops)
-        self.config = config if config is not None else SupervisorConfig.from_env()
-        #: Whether :attr:`context` forks (fork-bootstrap fallback possible).
-        self.fork_ok = fork_ok or bootstrap == "fork"
         self.journal = router.grid.journal
         self.workers: List[_PoolWorker] = []
-        #: Processes started over this pool's lifetime (stats accounting).
+        #: Processes forked over this pool's lifetime (stats accounting).
         self.total_forks = 0
-        #: Workers bootstrapped from a snapshot payload (stats accounting).
-        self.total_snapshot_bootstraps = 0
         #: Workers that had to be terminated/killed (close or replacement).
         self.total_kills = 0
         #: Failed workers removed individually (the pool survived them).
         self.total_replacements = 0
-        #: Snapshot-decode bootstrap failures recovered via fork bootstrap.
-        self.total_bootstrap_fallbacks = 0
-        #: Heartbeat messages received across all supervised receives.
-        self.total_heartbeats = 0
         #: Journal ops shipped as catch-up suffixes, counted **at send
         #: time** so a later WorkerFailure in the same batch cannot lose
         #: them (the executor drains this as deltas, like every other pool
@@ -612,10 +430,6 @@ class PersistentWorkerPool:
         self.total_suffix_elisions = 0
         # Pool-lifetime-unique worker index (replacements get fresh ones).
         self._next_index = 0
-        # Cached snapshot-mode bootstrap payload and the journal cursor the
-        # snapshot inside it was taken at.
-        self._payload: Optional[bytes] = None
-        self._payload_cursor: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.workers)
@@ -624,41 +438,12 @@ class PersistentWorkerPool:
         """Return the oldest journal cursor the pool still needs.
 
         Ops before it can never be shipped again: existing workers are
-        past them, future fork-mode workers fork from the live parent
-        (needing no ops at all), and future snapshot-mode workers replay
-        from the cached payload's cursor -- which therefore pins it.  With
-        nothing to pin, that is the journal head.
+        past them, and future workers fork from the live parent (needing
+        no ops at all).  With no workers, that is the journal head.
         """
-        cursors = [worker.cursor for worker in self.workers]
-        if self._payload_cursor is not None:
-            cursors.append(self._payload_cursor)
-        if not cursors:
-            return self.journal.cursor
-        return min(cursors)
-
-    def _bootstrap_payload(self) -> Tuple[bytes, bytes, int]:
-        """Return ``(payload, suffix, cursor)`` for one snapshot-mode start.
-
-        The payload (design + router spec + grid snapshot) is the expensive
-        part; it is cached and reused until the journal head has moved
-        :attr:`snapshot_refresh_ops` past it (or the journal was folded
-        past its cursor), then refreshed.  The suffix covers payload cursor
-        to head, so the started worker is exactly at *cursor* == head.
-        """
-        head = self.journal.cursor
-        stale = (
-            self._payload is None
-            or self._payload_cursor < self.journal.base
-            or head - self._payload_cursor > self.snapshot_refresh_ops
+        return min(
+            (worker.cursor for worker in self.workers), default=self.journal.cursor
         )
-        if stale:
-            router_cls, kwargs = self.router.worker_spec()
-            self._payload = pickle.dumps(
-                (self.router.design, router_cls, kwargs, self.router.grid.snapshot_state())
-            )
-            self._payload_cursor = head
-        suffix = pickle.dumps(self.journal.suffix(self._payload_cursor))
-        return self._payload, suffix, head
 
     def _suffix_frame(
         self, cursor: int, head: int, cache: Dict[int, Tuple[Optional[bytes], int]]
@@ -689,95 +474,29 @@ class PersistentWorkerPool:
         self.total_suffix_bytes += len(cached[0])
         return cached
 
-    def _start_worker(self, bootstrap: str) -> None:
-        """Start and register one worker via *bootstrap* (fork or snapshot).
-
-        Raises :class:`WorkerFailure` (kind ``bootstrap``) when a
-        snapshot-mode handshake fails; the broken worker is reaped first,
-        so the pool stays consistent for a fallback or retry.
-        """
+    def _start_worker(self) -> None:
+        """Fork and register one worker, born in sync at the journal head."""
+        global _POOL_ROUTER
         index = self._next_index
         self._next_index += 1
         parent_conn, child_conn = self.context.Pipe()
-        if bootstrap == "fork":
-            global _POOL_ROUTER
-            _POOL_ROUTER = self.router
-            try:
-                process = self.context.Process(
-                    target=_pool_worker_main, args=(child_conn, index), daemon=True
-                )
-                process.start()
-            except Exception:
-                parent_conn.close()
-                child_conn.close()
-                raise
-            finally:
-                _POOL_ROUTER = None
-            child_conn.close()
-            # Born in sync: the child holds the parent's state as of now.
-            self.workers.append(
-                _PoolWorker(process, parent_conn, self.journal.cursor, index)
-            )
-            self.total_forks += 1
-            return
+        _POOL_ROUTER = self.router
         try:
             process = self.context.Process(
-                target=_snapshot_worker_main, args=(child_conn, index), daemon=True
+                target=_pool_worker_main, args=(child_conn, index), daemon=True
             )
             process.start()
         except Exception:
             parent_conn.close()
             child_conn.close()
             raise
+        finally:
+            _POOL_ROUTER = None
         child_conn.close()
-        # Register before the handshake: a bootstrap failure must still
-        # leave the started process reapable.
-        worker = _PoolWorker(process, parent_conn, 0, index)
-        self.workers.append(worker)
+        self.workers.append(
+            _PoolWorker(process, parent_conn, self.journal.cursor, index)
+        )
         self.total_forks += 1
-        payload, suffix, cursor = self._bootstrap_payload()
-        parent_conn.send((payload, suffix))
-        # Synchronous handshake: a worker that failed to rebuild its grid
-        # must never be handed a batch.
-        try:
-            status, detail = parent_conn.recv()
-        except EOFError:
-            status, detail = "error", "worker pipe closed during bootstrap"
-        if status != "ok":
-            failure = classify_worker_payload(detail, index, None)
-            if failure.kind not in ("bootstrap", "crash"):
-                failure.kind = "bootstrap"
-            self.workers.remove(worker)
-            self.total_kills += _shutdown_workers(
-                [worker], join_timeout=0.2, escalate_timeout=0.5
-            )
-            raise WorkerFailure([failure], context="pool worker bootstrap")
-        worker.cursor = cursor
-        self.total_snapshot_bootstraps += 1
-
-    def _ensure_workers(self, needed: int) -> None:
-        """Start workers up to ``min(needed, size)``, one at a time.
-
-        A snapshot bootstrap whose *decode* stage failed falls back to the
-        fork bootstrap path for that slot (once per failure) before giving
-        up: a payload the parent pickled but the child cannot unpickle is
-        an environment problem fork sidesteps entirely, while a *rebuild*
-        failure means the state itself is bad and fork would inherit it.
-        """
-        target = min(needed, self.size)
-        while len(self.workers) < target:
-            if self.bootstrap == "fork":
-                self._start_worker("fork")
-                continue
-            try:
-                self._start_worker("snapshot")
-            except WorkerFailure as failure:
-                detail = failure.details[0]
-                if detail.stage == "decode" and self.fork_ok:
-                    self.total_bootstrap_fallbacks += 1
-                    self._start_worker("fork")
-                    continue
-                raise
 
     def remove_workers(self, failed: Sequence[_PoolWorker]) -> None:
         """Remove and reap *failed* workers; the rest of the pool survives.
@@ -808,9 +527,8 @@ class PersistentWorkerPool:
         explored_box)`` tuple.
 
         The receive phase is supervised: *deadline* bounds the whole batch
-        in wall-clock seconds, the config's heartbeat grace bounds any
-        single worker's silence, and a dead process is detected without
-        waiting for either.  On failure, **every** active worker is still
+        in wall-clock seconds, and a dead process is detected without
+        waiting for it.  On failure, **every** active worker is still
         drained (survivors' replies must not leak into the next batch),
         the failed workers are removed and reaped
         (:meth:`remove_workers`), and a :class:`WorkerFailure` aggregating
@@ -818,7 +536,8 @@ class PersistentWorkerPool:
         -- is raised; the caller may then simply retry on the surviving
         (still in-sync) pool.
         """
-        self._ensure_workers(len(net_names))
+        while len(self.workers) < min(len(net_names), self.size):
+            self._start_worker()
         head = self.journal.cursor
         count = min(len(self.workers), len(net_names))
         active = self.workers[:count]
@@ -858,10 +577,8 @@ class PersistentWorkerPool:
         results: List[Optional[Tuple]] = [None] * len(net_names)
         for slot, worker in sent:
             outcome = await_worker_reply(
-                worker.conn, worker.process, worker.index, worker.cursor,
-                deadline_at, self.config.heartbeat_grace,
+                worker.conn, worker.process, worker.index, worker.cursor, deadline_at
             )
-            self.total_heartbeats += outcome.heartbeats
             if outcome.failure is not None:
                 failures.append(outcome.failure)
                 # A worker that *replied* with a classified compute error
@@ -915,10 +632,8 @@ class PersistentWorkerPool:
         deadline_at = time.monotonic() + deadline if deadline else None
         for worker in pending:
             outcome = await_worker_reply(
-                worker.conn, worker.process, worker.index, worker.cursor,
-                deadline_at, self.config.heartbeat_grace,
+                worker.conn, worker.process, worker.index, worker.cursor, deadline_at
             )
-            self.total_heartbeats += outcome.heartbeats
             if outcome.failure is not None:
                 failures.append(outcome.failure)
                 failed_workers.append(worker)
@@ -983,14 +698,15 @@ def make_batch_executor(
     Batching engages when any knob leaves its default (``parallelism > 1``,
     an explicit ``batch_size`` or a non-serial backend); otherwise ``None``
     is returned and the router keeps its plain sequential loop.
-    ``min_fork_batch`` and ``margin_cells`` fall back to the
-    ``REPRO_MIN_FORK_BATCH`` / ``REPRO_BATCH_MARGIN`` environment knobs so
-    multi-core hosts can tune them without touching call sites.
+    ``min_fork_batch`` and ``margin_cells`` left at ``None`` mean
+    :data:`DEFAULT_MIN_FORK_BATCH` and no extra scheduler margin.
 
     ``backend="auto"`` is resolved first by :func:`recommend_backend` --
     and, when ``parallelism`` was left at 1, the worker count becomes the
     usable core count -- so an ``auto`` run that resolves to serial with
     default batch knobs builds no executor, exactly like the default.
+    An explicit ``backend="pool"`` on a platform without the ``fork``
+    start method raises ``ValueError``.
     """
     if backend == "auto":
         if parallelism <= 1:
@@ -1008,14 +724,16 @@ def make_batch_executor(
         router.grid,
         policy=policy,
         max_batch=max_batch,
-        margin_cells=resolve_batch_margin(margin_cells),
+        margin_cells=margin_cells,
     )
     return BatchExecutor(
         router,
         backend=backend,
         parallelism=parallelism,
         scheduler=scheduler,
-        min_fork_batch=resolve_min_fork_batch(min_fork_batch),
+        min_fork_batch=(
+            DEFAULT_MIN_FORK_BATCH if min_fork_batch is None else min_fork_batch
+        ),
     )
 
 
@@ -1031,7 +749,8 @@ class BatchExecutor:
     backend:
         ``"serial"`` (deterministic default), ``"thread"`` or ``"pool"``
         (persistent journal-replicated workers: fork once, catch up by
-        journal-suffix replay).
+        journal-suffix replay; ``ValueError`` on a host without the
+        ``fork`` start method).
     parallelism:
         Worker count for the concurrent backends (also the default
         scheduler batch cap when *scheduler* is not supplied).
@@ -1043,10 +762,10 @@ class BatchExecutor:
         Smallest batch that starts the ``pool`` backend's workers: smaller
         batches route serially until the pool exists, and once started the
         workers serve every parallel batch.
-    pool_bootstrap:
-        How pool workers obtain the parent's grid state: ``"fork"``,
-        ``"snapshot"`` or ``"auto"`` (default: the ``REPRO_POOL_BOOTSTRAP``
-        env knob, falling back to ``auto`` = fork when available).
+    supervisor:
+        Deadline, retry and demotion policy (default:
+        ``SupervisorConfig()``).  It is read when batches run, so it may
+        be replaced on the executor before the router's ``run()``.
     """
 
     def __init__(
@@ -1056,11 +775,15 @@ class BatchExecutor:
         parallelism: int = 1,
         scheduler: Optional[BatchScheduler] = None,
         min_fork_batch: int = DEFAULT_MIN_FORK_BATCH,
-        pool_bootstrap: Optional[str] = None,
         supervisor: Optional[SupervisorConfig] = None,
     ) -> None:
         if backend not in BACKENDS:
             raise ValueError(f"unknown batch backend {backend!r}; expected one of {BACKENDS}")
+        if backend == "pool" and not fork_available():
+            raise ValueError(
+                "batch backend 'pool' needs the 'fork' start method, which this "
+                "platform lacks; use 'thread', 'serial' or 'auto'"
+            )
         self.router = router
         self.backend = backend
         self.parallelism = max(1, parallelism)
@@ -1072,9 +795,7 @@ class BatchExecutor:
         # Supervision: deadlines/retries/backoff policy plus the graceful-
         # degradation ladder.  `backend` stays the *configured* tier;
         # `active_backend` is the current (possibly demoted) one.
-        self.supervisor = (
-            supervisor if supervisor is not None else SupervisorConfig.from_env()
-        )
+        self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
         self._ladder = degradation_ladder(backend)
         self._tier_index = 0
         self._consecutive_failures = 0
@@ -1095,12 +816,8 @@ class BatchExecutor:
         # executor attached for it (detached again when the pool closes).
         self._pool: Optional[PersistentWorkerPool] = None
         self._owned_journal = None
-        self._pool_bootstrap = resolve_pool_bootstrap(pool_bootstrap)
         # Last-seen pool counters, so stats deltas survive any exit path.
         self._pool_seen: Dict[str, int] = {}
-        self._fork_context = None
-        if backend == "pool" and fork_available():
-            self._fork_context = multiprocessing.get_context("fork")
         if backend != "serial":
             # Warm the native kernel in the parent before any worker
             # exists: threads share the loaded module outright, and pool
@@ -1193,8 +910,6 @@ class BatchExecutor:
             ):
                 # Don't pay the one-time worker start for a campaign of tiny
                 # batches; once the pool exists it serves every parallel batch.
-                # (Whether a pool is even possible -- fork availability,
-                # worker_spec support -- is _ensure_pool's call.)
                 return False
             # Pool batches spend their wall time in worker traffic (suffix
             # shipping + result receive): account them as ipc; thread
@@ -1228,7 +943,7 @@ class BatchExecutor:
     ) -> Optional[List[SpeculativeRoute]]:
         """Run one batch on *backend* with classified, bounded retry.
 
-        Retryable failures (crash/timeout/bootstrap/replay/compute) are
+        Retryable failures (crash/timeout/replay/compute) are
         retried after exponential backoff -- the pool's surgical worker
         removal means a retry runs on the surviving workers plus lazily
         started replacements.  Fatal (design-error) failures and exhausted
@@ -1331,23 +1046,6 @@ class BatchExecutor:
     def _ensure_pool(self) -> Optional[PersistentWorkerPool]:
         if self._pool is not None:
             return self._pool
-        bootstrap = self._pool_bootstrap
-        if bootstrap == "auto":
-            bootstrap = "fork" if self._fork_context is not None else "snapshot"
-        if bootstrap == "fork":
-            if self._fork_context is None:
-                return None
-            context = self._fork_context
-        else:
-            if not hasattr(self.router, "worker_spec"):
-                return None  # router cannot describe itself for a rebuild
-            # Snapshot bootstrap inherits nothing, so any start method
-            # works; prefer fork for its cheap process creation.
-            context = (
-                self._fork_context
-                if self._fork_context is not None
-                else multiprocessing.get_context()
-            )
         if self.router.make_search_engine() is None:
             return None  # legacy engine: speculative routing unsupported
         grid = self.router.grid
@@ -1355,10 +1053,7 @@ class BatchExecutor:
             # The journal must exist *before* the first worker: workers
             # re-sync by replaying everything recorded past their cursor.
             self._owned_journal = grid.attach_journal()
-        self._pool = PersistentWorkerPool(
-            context, self.router, self.parallelism, bootstrap=bootstrap,
-            config=self.supervisor, fork_ok=self._fork_context is not None,
-        )
+        self._pool = PersistentWorkerPool(self.router, self.parallelism)
         self._pool_seen = {}
         return self._pool
 
@@ -1366,11 +1061,8 @@ class BatchExecutor:
     #: exit path -- success, classified failure, discard -- accounts once).
     _POOL_STAT_MAP = (
         ("total_forks", "pool_forks"),
-        ("total_snapshot_bootstraps", "snapshot_bootstraps"),
         ("total_kills", "worker_kills"),
         ("total_replacements", "worker_replacements"),
-        ("total_bootstrap_fallbacks", "bootstrap_fallbacks"),
-        ("total_heartbeats", "heartbeats"),
         # Replayed ops are counted on the pool at send time (not via
         # compute()'s return value) so ops shipped before a WorkerFailure
         # are never lost, and drained as deltas so the discard + lazy

@@ -1,22 +1,20 @@
 """Supervision policy for batch execution: deadlines, liveness, retry, demotion.
 
-Before this module the executor's only failure story was "raise
-``RuntimeError`` and discard the pool", and a hung worker blocked the
-campaign until ``close()`` escalated.  Supervision turns worker failure
-into an expected, *classified* event:
+Worker failure is an expected, *classified* event, not a campaign-ending
+``RuntimeError``:
 
-* :class:`SupervisorConfig` -- the env-resolved policy knobs: per-batch
-  wall-clock deadlines derived from batch size, the heartbeat grace
-  window, bounded retries with exponential backoff, and the
-  consecutive-failure threshold that triggers a backend demotion.
+* :class:`SupervisorConfig` -- the policy: per-batch wall-clock deadlines
+  derived from batch size, bounded retries with exponential backoff, and
+  the consecutive-failure threshold that triggers a backend demotion.
+  A router's executor holds one (``executor.supervisor``); callers that
+  want another policy replace it before the run.
 * :class:`FailureDetail` / :class:`WorkerFailure` -- one classified
   failure record per worker (index, journal cursor, kind, message) and
   the aggregate exception carrying **all** of them (the first failure
   must not silently eat the rest).
 * :func:`await_worker_reply` -- the supervised receive loop: polls the
-  worker pipe, consumes heartbeat messages as liveness evidence, detects
-  dead processes immediately, and classifies deadline/grace expiries as
-  timeouts.
+  worker pipe, detects dead processes immediately, and classifies an
+  expired batch deadline as a timeout.
 * :func:`degradation_ladder` -- the graceful-degradation order ``pool ->
   thread -> serial``; serial is the always-correct floor
   (bit-identical to the sequential loop by construction), so a campaign
@@ -32,39 +30,11 @@ replace or demote, never *what* a route looks like.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.utils.env import env_float, env_int
-
-#: Per-batch deadline knobs: total override, and the batch-size-derived
-#: budget ``base + per_net * len(batch)`` used when no override is set.
-#: ``REPRO_BATCH_DEADLINE=0`` disables deadlines outright.
-BATCH_DEADLINE_ENV = "REPRO_BATCH_DEADLINE"
-BATCH_DEADLINE_BASE_ENV = "REPRO_BATCH_DEADLINE_BASE"
-BATCH_DEADLINE_PER_NET_ENV = "REPRO_BATCH_DEADLINE_PER_NET"
-#: Longest silence (seconds) tolerated from an *alive* worker before it is
-#: declared hung; heartbeats refresh the window.  ``0`` (default) disables
-#: the grace check and leaves only the total batch deadline.
-HEARTBEAT_GRACE_ENV = "REPRO_HEARTBEAT_GRACE"
-#: Bounded retry: how many times a failed parallel batch is retried on the
-#: same backend tier, and the exponential-backoff base delay in seconds
-#: (attempt ``k`` sleeps ``backoff * 2**(k-1)``).
-BATCH_RETRIES_ENV = "REPRO_BATCH_RETRIES"
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF"
-#: Consecutive retry-exhausted batch failures at one backend tier before
-#: the executor demotes to the next tier of the degradation ladder.
-DEMOTE_AFTER_ENV = "REPRO_DEMOTE_AFTER"
-
-DEFAULT_DEADLINE_BASE = 60.0
-DEFAULT_DEADLINE_PER_NET = 15.0
-DEFAULT_HEARTBEAT_GRACE = 0.0
-DEFAULT_BATCH_RETRIES = 2
-DEFAULT_RETRY_BACKOFF = 0.05
-DEFAULT_DEMOTE_AFTER = 2
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 #: Failure kinds, in the order used to pick an aggregate's headline kind.
-FAILURE_KINDS = ("timeout", "crash", "bootstrap", "replay", "compute", "fatal")
+FAILURE_KINDS = ("timeout", "crash", "replay", "compute", "fatal")
 
 #: The graceful-degradation order.  Serial is the floor: always available,
 #: bit-identical to the sequential loop by construction.
@@ -80,37 +50,26 @@ def degradation_ladder(backend: str) -> Tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Resolved supervision policy (env knobs with programmatic overrides)."""
+    """Supervision policy of one executor.
+
+    ``deadline_override`` replaces the batch-size-derived deadline
+    (``0`` disables deadlines); ``max_retries`` bounds the retries of one
+    failed batch, attempt ``k`` sleeping ``backoff_base * 2**(k-1)``
+    first; ``demote_after`` consecutive retry-exhausted batches demote the
+    executor one tier down the degradation ladder.
+    """
 
     deadline_override: Optional[float] = None
-    deadline_base: float = DEFAULT_DEADLINE_BASE
-    deadline_per_net: float = DEFAULT_DEADLINE_PER_NET
-    heartbeat_grace: float = DEFAULT_HEARTBEAT_GRACE
-    max_retries: int = DEFAULT_BATCH_RETRIES
-    backoff_base: float = DEFAULT_RETRY_BACKOFF
-    demote_after: int = DEFAULT_DEMOTE_AFTER
-
-    @classmethod
-    def from_env(cls, **overrides: object) -> "SupervisorConfig":
-        """Build the config from the environment, then apply *overrides*."""
-        override = env_float(BATCH_DEADLINE_ENV, -1.0)
-        config = cls(
-            deadline_override=override if override >= 0.0 else None,
-            deadline_base=env_float(BATCH_DEADLINE_BASE_ENV, DEFAULT_DEADLINE_BASE),
-            deadline_per_net=env_float(
-                BATCH_DEADLINE_PER_NET_ENV, DEFAULT_DEADLINE_PER_NET
-            ),
-            heartbeat_grace=env_float(HEARTBEAT_GRACE_ENV, DEFAULT_HEARTBEAT_GRACE),
-            max_retries=env_int(BATCH_RETRIES_ENV, DEFAULT_BATCH_RETRIES),
-            backoff_base=env_float(RETRY_BACKOFF_ENV, DEFAULT_RETRY_BACKOFF),
-            demote_after=max(1, env_int(DEMOTE_AFTER_ENV, DEFAULT_DEMOTE_AFTER)),
-        )
-        return replace(config, **overrides) if overrides else config
+    deadline_base: float = 60.0
+    deadline_per_net: float = 15.0
+    max_retries: int = 2
+    backoff_base: float = 0.05
+    demote_after: int = 2
 
     def deadline_seconds(self, batch_size: int) -> Optional[float]:
         """Return the wall-clock budget for a *batch_size*-net batch.
 
-        The explicit ``REPRO_BATCH_DEADLINE`` override wins; ``0`` means
+        The explicit ``deadline_override`` wins; ``0`` means
         "no deadline" (returns ``None``).  Otherwise the budget scales
         with the batch: ``base + per_net * batch_size``.
         """
@@ -132,17 +91,12 @@ class FailureDetail:
     message: str
     cursor: Optional[int] = None
     net: Optional[str] = None
-    #: Sub-stage of the failing operation (bootstrap failures report
-    #: ``recv`` / ``decode`` / ``rebuild`` so the pool can decide whether
-    #: the fork-bootstrap fallback is worth trying).
-    stage: Optional[str] = None
 
     def __str__(self) -> str:
         where = "parent" if self.worker is None else f"worker {self.worker}"
         cursor = "" if self.cursor is None else f" @cursor {self.cursor}"
         net = "" if self.net is None else f" (net {self.net!r})"
-        kind = self.kind if self.stage is None else f"{self.kind}/{self.stage}"
-        return f"{where}{cursor} [{kind}]{net}: {self.message}"
+        return f"{where}{cursor} [{self.kind}]{net}: {self.message}"
 
 
 class WorkerFailure(RuntimeError):
@@ -150,7 +104,7 @@ class WorkerFailure(RuntimeError):
 
     ``kind`` is the most severe detail kind (:data:`FAILURE_KINDS` order);
     ``retryable`` says whether a bounded retry (after worker replacement)
-    can plausibly succeed -- bootstrap/replay/compute/crash/timeout
+    can plausibly succeed -- replay/compute/crash/timeout
     failures are retryable because a replaced worker starts from clean,
     authoritative parent state, while ``fatal`` marks design errors
     (misconfiguration, unpicklable payloads, bugs) that retrying cannot
@@ -183,7 +137,6 @@ def classify_worker_payload(
             message=str(payload.get("error", payload)),
             cursor=payload.get("ops_seen", cursor),
             net=payload.get("net"),
-            stage=payload.get("stage"),
         )
     # Legacy / free-form error strings: assume a compute-stage failure.
     return FailureDetail(worker=worker, kind="compute", message=str(payload), cursor=cursor)
@@ -219,7 +172,6 @@ class ReplyOutcome:
 
     payload: Optional[object] = None
     failure: Optional[FailureDetail] = None
-    heartbeats: int = 0
 
 
 def await_worker_reply(
@@ -228,21 +180,22 @@ def await_worker_reply(
     worker: int,
     cursor: int,
     deadline_at: Optional[float],
-    heartbeat_grace: float,
     poll_interval: float = 0.05,
 ) -> ReplyOutcome:
     """Supervised receive of one worker's batch reply.
 
-    Consumes interleaved ``("hb", progress)`` heartbeat messages (sent
-    after catch-up replay and between nets) as liveness evidence, returns
-    the terminal ``("ok", payload)`` payload, and classifies everything
-    else: a worker-sent ``("error", detail)`` by its own classification,
-    a dead process / EOF as a ``crash``, and an expired batch deadline or
-    heartbeat-grace window as a ``timeout``.  Never raises -- the caller
+    Returns the ``("ok", payload)`` reply's payload and classifies
+    everything else: a worker-sent ``("error", detail)`` by its own
+    classification, a dead process / EOF as a ``crash``, and an expired
+    batch deadline as a ``timeout``.  Never raises -- the caller
     aggregates outcomes across workers into one :class:`WorkerFailure`.
     """
-    outcome = ReplyOutcome()
-    last_beat = time.monotonic()
+
+    def crash(message: str) -> ReplyOutcome:
+        return ReplyOutcome(failure=FailureDetail(
+            worker=worker, kind="crash", cursor=cursor, message=message,
+        ))
+
     while True:
         # Drain before judging: a reply already sitting in the pipe is
         # accepted even past the deadline, so one hung batch-mate never
@@ -250,67 +203,36 @@ def await_worker_reply(
         try:
             ready = conn.poll(0)
         except (OSError, ValueError):
-            outcome.failure = FailureDetail(
-                worker=worker, kind="crash", cursor=cursor,
-                message="worker pipe broke while awaiting reply",
-            )
-            return outcome
+            return crash("worker pipe broke while awaiting reply")
         if ready:
             try:
-                message = conn.recv()
+                status, payload = conn.recv()
             except (EOFError, OSError):
-                outcome.failure = FailureDetail(
-                    worker=worker, kind="crash", cursor=cursor,
-                    message="worker pipe closed mid-batch (EOF)",
-                )
-                return outcome
-            status = message[0]
-            if status == "hb":
-                outcome.heartbeats += 1
-                last_beat = time.monotonic()
-                continue
+                return crash("worker pipe closed mid-batch (EOF)")
             if status == "ok":
-                outcome.payload = message[1]
-                return outcome
-            outcome.failure = classify_worker_payload(message[1], worker, cursor)
-            return outcome
-        now = time.monotonic()
-        if deadline_at is not None and now >= deadline_at:
-            outcome.failure = FailureDetail(
-                worker=worker, kind="timeout", cursor=cursor,
-                message="batch deadline exceeded (worker hung or too slow)",
+                return ReplyOutcome(payload=payload)
+            return ReplyOutcome(
+                failure=classify_worker_payload(payload, worker, cursor)
             )
-            return outcome
-        if heartbeat_grace > 0 and now - last_beat >= heartbeat_grace:
-            outcome.failure = FailureDetail(
-                worker=worker, kind="timeout", cursor=cursor,
-                message=f"no heartbeat for {heartbeat_grace:.3g}s (worker hung)",
-            )
-            return outcome
         wait = poll_interval
         if deadline_at is not None:
-            wait = min(wait, max(0.0, deadline_at - now))
-        if heartbeat_grace > 0:
-            wait = min(wait, max(0.0, last_beat + heartbeat_grace - now))
+            now = time.monotonic()
+            if now >= deadline_at:
+                return ReplyOutcome(failure=FailureDetail(
+                    worker=worker, kind="timeout", cursor=cursor,
+                    message="batch deadline exceeded (worker hung or too slow)",
+                ))
+            wait = min(wait, deadline_at - now)
         try:
             ready = conn.poll(wait)
         except (OSError, ValueError):
-            outcome.failure = FailureDetail(
-                worker=worker, kind="crash", cursor=cursor,
-                message="worker pipe broke while awaiting reply",
-            )
-            return outcome
+            return crash("worker pipe broke while awaiting reply")
         if ready:
             continue  # the top-of-loop drain consumes it
         if process is not None and not process.is_alive():
             # One last drain: the worker may have replied and exited
             # between our poll and the liveness check.
             if not conn.poll(0):
-                outcome.failure = FailureDetail(
-                    worker=worker, kind="crash", cursor=cursor,
-                    message=(
-                        "worker process died mid-batch "
-                        f"(exitcode {process.exitcode})"
-                    ),
+                return crash(
+                    f"worker process died mid-batch (exitcode {process.exitcode})"
                 )
-                return outcome

@@ -18,7 +18,7 @@ evaluation code scores exactly like the baselines' outputs.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.campaign import CampaignState
 from repro.check import IncrementalConflictChecker
@@ -46,7 +46,9 @@ class MrTPLRouter:
     the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
     the default keeps the plain sequential loop.  ``batch_backend="auto"``
     picks the backend from the host; failing batches demote it down the
-    ``pool -> thread -> serial`` ladder.
+    ``pool -> thread -> serial`` ladder.  The ``pool`` backend forks its
+    workers, so it raises ``ValueError`` on a platform without the
+    ``fork`` start method.
     """
 
     name = "mr-tpl"
@@ -230,21 +232,6 @@ class MrTPLRouter:
         if self._engine_kind != "flat":
             return None
         return ColorStateSearch(self.grid, self.cost_model)
-
-    def worker_spec(self) -> Tuple[type, Dict[str, object]]:
-        """Return ``(router_cls, kwargs)`` rebuilding this router in a worker.
-
-        Used by the snapshot-bootstrapped pool workers, which construct
-        their own router over a grid rebuilt from the journal's fold
-        snapshot instead of inheriting the parent's through fork.
-        """
-        return type(self), {
-            "guides": self.guides,
-            "use_global_router": False,
-            "max_iterations": self.max_iterations,
-            "refine_colors": self.refine_colors,
-            "engine": self._engine_kind,
-        }
 
     # ------------------------------------------------------------------
     # Single-net routing (Fig. 2 centre and right columns, Algorithm 1)

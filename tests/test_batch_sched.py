@@ -32,7 +32,9 @@ from repro.sched import (
     BatchScheduler,
     GridSink,
     RecordingSink,
+    SupervisorConfig,
     apply_route_ops,
+    make_batch_executor,
     recommend_backend,
     usable_cpu_count,
     windows_overlap,
@@ -435,6 +437,18 @@ def test_unknown_backend_is_rejected(backend):
         assert repr(name) in message
 
 
+def test_pool_backend_without_fork_is_rejected(monkeypatch):
+    # The pool forks its workers: on a platform without the fork start
+    # method asking for it must fail at construction, naming the cause,
+    # while ``auto`` on the same host still resolves to a usable tier.
+    force_host(monkeypatch, 4, "python", False)
+    router = make_router("color-state", sparse_case())
+    with pytest.raises(ValueError, match="fork"):
+        make_batch_executor(router, parallelism=2, backend="pool")
+    executor = make_batch_executor(router, parallelism=2, backend="auto")
+    assert executor.backend == "thread"
+
+
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
 def test_auto_backend_thread_is_bit_identical_to_serial(router_key, monkeypatch):
     force_host(monkeypatch, 4, "native", True)
@@ -468,14 +482,14 @@ def test_auto_backend_survives_injected_faults(monkeypatch):
     # backend: the ladder must demote to serial and the run must stay
     # bit-identical.
     force_host(monkeypatch, 4, "native", True)
-    monkeypatch.setenv("REPRO_BATCH_RETRIES", "0")
-    monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     reference = serial_reference("color-state")
     with faults.injected("compute.error:times=*"):
         router = make_router(
             "color-state", sparse_case(), parallelism=2,
             batch_backend="auto", min_fork_batch=2,
+        )
+        router.batch_executor.supervisor = SupervisorConfig(
+            max_retries=0, demote_after=1, backoff_base=0
         )
         fingerprint = solution_fingerprint(router.run())
     executor = router.batch_executor

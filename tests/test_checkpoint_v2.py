@@ -453,9 +453,13 @@ class _Interrupted(Exception):
     """Raised from an on_checkpoint hook to stop a campaign mid-loop."""
 
 
-def test_resume_carries_retired_executor_stats_keys(tmp_path):
+@pytest.mark.parametrize("retired_key", [
+    "autotune_decisions", "snapshot_bootstraps", "bootstrap_fallbacks", "heartbeats",
+])
+def test_resume_carries_retired_executor_stats_keys(tmp_path, retired_key):
     # Older checkpoints record executor counters this version no longer
-    # produces (``autotune_decisions``).  Resuming from one must still be
+    # produces (the autotune controller's, the snapshot bootstrap's and
+    # the heartbeat protocol's).  Resuming from one must still be
     # bit-identical, and the merge-by-key must carry the retired counter
     # through unchanged instead of dropping or rejecting it.
     kwargs = dict(use_global_router=False, parallelism=2, batch_backend="serial")
@@ -475,7 +479,8 @@ def test_resume_carries_retired_executor_stats_keys(tmp_path):
     document = load_checkpoint_document(path)
     assert document["campaign"]["done"] is False
     assert document["campaign"]["executor_stats"]["nets_routed"] > 0
-    document["campaign"]["executor_stats"]["autotune_decisions"] = 3
+    assert retired_key not in document["campaign"]["executor_stats"]
+    document["campaign"]["executor_stats"][retired_key] = 3
     document["checksum"] = checkpoint_checksum(document)
     path.write_text(json.dumps(document))
 
@@ -487,7 +492,7 @@ def test_resume_carries_retired_executor_stats_keys(tmp_path):
     assert solution_fingerprint(resumed_solution) == solution_fingerprint(reference)
     campaign = load_checkpoint_document(path)["campaign"]
     assert campaign["done"] is True
-    assert campaign["executor_stats"]["autotune_decisions"] == 3
+    assert campaign["executor_stats"][retired_key] == 3
 
 
 def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
@@ -498,12 +503,11 @@ def test_checkpoint_refuses_mismatched_campaigns(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (e) Pool workers: snapshot bootstrap + shutdown escalation
+# (e) Pool workers: serial parity + shutdown escalation
 # ----------------------------------------------------------------------
 
 @needs_fork
-@pytest.mark.parametrize("bootstrap", ["fork", "snapshot"])
-def test_pool_bootstrap_modes_match_serial(bootstrap):
+def test_pool_workers_match_serial():
     design = build_case()
     reference = solution_fingerprint(make_router("color-state", design).run())
 
@@ -512,14 +516,11 @@ def test_pool_bootstrap_modes_match_serial(bootstrap):
         "color-state", design2, grid=RoutingGrid(design2),
         parallelism=2, batch_backend="pool", min_fork_batch=2,
     )
-    router.batch_executor._pool_bootstrap = bootstrap
     solution = router.run()
     stats = router.batch_executor.stats
     assert solution_fingerprint(solution) == reference
     if stats.parallel_batches:
         assert stats.pool_forks > 0
-        expected = stats.pool_forks if bootstrap == "snapshot" else 0
-        assert stats.snapshot_bootstraps == expected
     assert stats.worker_errors == 0
 
 
@@ -567,10 +568,7 @@ def test_shutdown_workers_escalates_on_hung_worker():
 def test_discard_pool_accounts_worker_kills():
     class FakePool:
         total_forks = 0
-        total_snapshot_bootstraps = 0
         total_replacements = 0
-        total_bootstrap_fallbacks = 0
-        total_heartbeats = 0
         total_kills = 0
 
         def close(self):

@@ -9,12 +9,12 @@ Three layers:
 * **Classification layer** -- worker payloads and raised exceptions map
   to the failure-kind taxonomy, :class:`WorkerFailure` aggregates every
   per-worker detail (index + journal cursor in the message), the
-  degradation ladder and the supervisor's env knobs resolve correctly,
+  degradation ladder and the supervisor's deadlines resolve correctly,
   and hardened checkpoint loading rejects torn/corrupt documents while
   the keep-K rotation always leaves a valid fallback.
 * **Differential matrix** -- each injected fault class (worker crash,
-  hang, slow reply, dropped pipe, compute error, failed snapshot
-  bootstrap, torn checkpoint) against each of the three routers on a
+  hang, slow reply, dropped pipe, compute error, torn checkpoint)
+  against each of the three routers on a
   pool-engaging case: the campaign must complete, the solution must be
   **bit-identical** to the fault-free serial run, and the recovery must
   be visible in ``ExecutorStats`` (retries, replacements, deadline
@@ -102,11 +102,13 @@ def serial_reference(router_key):
     return _SERIAL_REFS[router_key]
 
 
-def run_supervised(router_key, **kwargs):
-    """Route the sparse case with supervision knobs; return (fingerprint, router)."""
+def run_supervised(router_key, supervisor=None, **kwargs):
+    """Route the sparse case under *supervisor*; return (fingerprint, router)."""
     merged = dict(POOL_KW)
     merged.update(kwargs)
     router = make_router(router_key, sparse_case(), **merged)
+    if supervisor is not None:
+        router.batch_executor.supervisor = supervisor
     fingerprint = solution_fingerprint(router.run())
     return fingerprint, router
 
@@ -202,11 +204,9 @@ def test_process_context_supplies_worker_identity():
 
 
 def test_fire_actions():
-    with injected("compute.error;bootstrap.fail;checkpoint.tear"):
+    with injected("compute.error;checkpoint.tear"):
         with pytest.raises(FaultError):
             faults.fire("compute.error", net="n1")
-        with pytest.raises(FaultError):
-            faults.fire("bootstrap.fail", worker=0)
         clause = faults.fire("checkpoint.tear", path="x")  # reported, not acted
         assert clause is not None and clause.site == "checkpoint.tear"
         assert faults.fire("checkpoint.tear", path="x") is None  # times=1 spent
@@ -270,21 +270,18 @@ def test_degradation_ladder():
             degradation_ladder(retired)
 
 
-def test_supervisor_config_from_env(monkeypatch):
-    config = SupervisorConfig.from_env()
+def test_supervisor_config_deadlines_and_backoff():
+    config = SupervisorConfig()
     assert config.deadline_seconds(4) == pytest.approx(60.0 + 15.0 * 4)
     assert config.backoff_seconds(1) == pytest.approx(0.05)
     assert config.backoff_seconds(3) == pytest.approx(0.20)
+    assert (config.max_retries, config.demote_after) == (2, 2)
 
-    monkeypatch.setenv("REPRO_BATCH_DEADLINE", "0")  # 0 = deadlines off
-    assert SupervisorConfig.from_env().deadline_seconds(100) is None
-    monkeypatch.setenv("REPRO_BATCH_DEADLINE", "2.5")  # override wins
-    monkeypatch.setenv("REPRO_BATCH_RETRIES", "5")
-    monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
-    config = SupervisorConfig.from_env()
-    assert config.deadline_seconds(100) == pytest.approx(2.5)
-    assert (config.max_retries, config.demote_after) == (5, 1)
-    assert SupervisorConfig.from_env(max_retries=0).max_retries == 0
+    # 0 = deadlines off; any other override wins over the size-derived budget.
+    assert SupervisorConfig(deadline_override=0).deadline_seconds(100) is None
+    assert SupervisorConfig(deadline_override=2.5).deadline_seconds(100) == (
+        pytest.approx(2.5)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -422,12 +419,13 @@ def test_matrix_worker_crash_mid_campaign(router_key):
 
 @needs_fork
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
-def test_matrix_worker_hang_hits_deadline(router_key, monkeypatch):
+def test_matrix_worker_hang_hits_deadline(router_key):
     # Worker 0 sleeps far past the 2s batch deadline; the supervisor
     # times it out, reaps it and retries on a replacement.
-    monkeypatch.setenv("REPRO_BATCH_DEADLINE", "2")
     with injected("worker.hang:worker=0,seconds=30"):
-        fingerprint, router = run_supervised(router_key)
+        fingerprint, router = run_supervised(
+            router_key, supervisor=SupervisorConfig(deadline_override=2.0)
+        )
     stats = router.batch_executor.stats
     assert fingerprint == serial_reference(router_key)
     assert stats.deadline_timeouts >= 1
@@ -506,29 +504,15 @@ def test_matrix_torn_final_checkpoint_resume(router_key, tmp_path):
 
 
 @needs_fork
-def test_snapshot_bootstrap_decode_failure_falls_back_to_fork(monkeypatch):
-    # Satellite (b): a snapshot bootstrap whose payload decode fails is
-    # retried once over the fork path instead of failing the pool.
-    monkeypatch.setenv("REPRO_POOL_BOOTSTRAP", "snapshot")
-    with injected("bootstrap.fail:worker=0"):
-        fingerprint, router = run_supervised("color-state")
-    stats = router.batch_executor.stats
-    assert fingerprint == serial_reference("color-state")
-    assert stats.bootstrap_fallbacks == 1
-    assert stats.snapshot_bootstraps >= 1  # the other slot still snapshots
-    assert stats.worker_errors == 0  # recovered below the batch layer
-
-
-@needs_fork
-def test_ladder_demotes_to_serial_floor(monkeypatch):
+def test_ladder_demotes_to_serial_floor():
     # Unbounded compute errors at every speculative tier: the executor
     # must walk the whole ladder (pool -> thread) and land on
     # serial, which cannot fail -- and the run stays bit-identical.
-    monkeypatch.setenv("REPRO_BATCH_RETRIES", "0")
-    monkeypatch.setenv("REPRO_DEMOTE_AFTER", "1")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     with injected("compute.error:times=*"):
-        fingerprint, router = run_supervised("color-state")
+        fingerprint, router = run_supervised(
+            "color-state",
+            supervisor=SupervisorConfig(max_retries=0, demote_after=1, backoff_base=0),
+        )
     executor = router.batch_executor
     assert fingerprint == serial_reference("color-state")
     assert executor.active_backend == "serial"
@@ -542,15 +526,14 @@ def test_ladder_demotes_to_serial_floor(monkeypatch):
 #     above)
 # ----------------------------------------------------------------------
 
-def test_thread_backend_recovers_from_hung_task(monkeypatch):
+def test_thread_backend_recovers_from_hung_task():
     # A hung thread cannot be killed: the executor retires the whole
     # thread pool (hung threads and all) and retries on a fresh one.
     # Bounded sleep -- the stale thread must not outlive the test run.
-    monkeypatch.setenv("REPRO_BATCH_DEADLINE", "0.5")
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF", "0")
     with injected("worker.hang:seconds=3"):
         fingerprint, router = run_supervised(
-            "color-state", batch_backend="thread"
+            "color-state", batch_backend="thread",
+            supervisor=SupervisorConfig(deadline_override=0.5, backoff_base=0),
         )
     stats = router.batch_executor.stats
     assert fingerprint == serial_reference("color-state")

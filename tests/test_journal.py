@@ -351,14 +351,13 @@ def test_route_with_checkpoint_rejects_other_routers_campaign(tmp_path):
 
 
 def test_env_knob_rejects_malformed_values(monkeypatch):
-    from repro.sched import resolve_min_fork_batch
+    from repro.bench.micro import default_bench_scale
 
-    monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "three")
-    with pytest.raises(ValueError, match="REPRO_MIN_FORK_BATCH"):
-        resolve_min_fork_batch()
-    monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "5")
-    assert resolve_min_fork_batch() == 5
-    assert resolve_min_fork_batch(2) == 2  # explicit argument wins
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "half")
+    with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
+        default_bench_scale()
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
+    assert default_bench_scale() == 0.25
 
 
 def test_checkpoint_saves_atomically(tmp_path):

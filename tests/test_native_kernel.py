@@ -307,14 +307,17 @@ class TestEnvKnobs:
         assert env_float("REPRO_TEST_FLOAT", 1.0) == 1.0
 
     def test_resolvers_use_shared_parser(self, monkeypatch):
-        from repro.sched import resolve_min_fork_batch
+        from repro import faults
 
-        monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "5")
-        assert resolve_min_fork_batch() == 5
-        assert resolve_min_fork_batch(2) == 2
-        monkeypatch.setenv("REPRO_MIN_FORK_BATCH", "soon")
-        with pytest.raises(ValueError):
-            resolve_min_fork_batch()
+        monkeypatch.setenv(faults.FAULT_PLAN_ENV, "compute.error")
+        try:
+            monkeypatch.setenv(faults.FAULT_SEED_ENV, "5")
+            assert faults.reload_from_env().seed == 5
+            monkeypatch.setenv(faults.FAULT_SEED_ENV, "soon")
+            with pytest.raises(ValueError, match=faults.FAULT_SEED_ENV):
+                faults.reload_from_env()
+        finally:
+            faults.clear_plan()
 
 
 @pytest.mark.skipif(
