@@ -18,21 +18,28 @@ Environment knobs:
 
 from __future__ import annotations
 
-import os
 from typing import List
 
 import pytest
 
+from repro.utils.env import env_float, env_str
+
 
 def bench_scale() -> float:
     """Return the suite scale factor used by the benchmark harnesses."""
-    return float(os.environ.get("REPRO_BENCH_SCALE", "0.7"))
+    return env_float("REPRO_BENCH_SCALE", 0.7)
 
 
 def bench_cases() -> List[int]:
     """Return the suite case numbers exercised by the benchmark harnesses."""
-    raw = os.environ.get("REPRO_BENCH_CASES", "1,2,3")
-    return [int(token) for token in raw.split(",") if token.strip()]
+    raw = env_str("REPRO_BENCH_CASES", "1,2,3")
+    try:
+        return [int(token) for token in raw.split(",") if token.strip()]
+    except ValueError:
+        raise ValueError(
+            "environment knob REPRO_BENCH_CASES must be comma-separated "
+            f"integers, got {raw!r}"
+        ) from None
 
 
 @pytest.fixture(scope="session")

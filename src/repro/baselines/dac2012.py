@@ -292,7 +292,7 @@ class Dac2012Router:
             margin_cells=batch_margin,
         )
         # Per-phase wall-clock record: shared with the executor's stats when
-        # one is engaged, so campaign merges and bench JSON see one record.
+        # one is engaged, so campaign merges and checkpoints see one record.
         self.phases = (
             self.batch_executor.stats.phases
             if self.batch_executor is not None

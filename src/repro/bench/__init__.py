@@ -2,17 +2,19 @@
 
 The ISPD 2018/2019 contest benchmarks the paper evaluates on are hundreds of
 megabytes of LEF/DEF and far beyond what a pure-Python router can turn
-around, so this package generates *synthetic ISPD-like* cases instead (see
-DESIGN.md section 4 for the substitution argument): row-placed standard
-cells, multi-pin nets with locality, macros and obstacles, and contest-style
-design rules.  Two suites mirror the two experiment tables:
+around, so this package generates *synthetic ISPD-like* cases instead:
+row-placed standard cells, multi-pin nets with locality, macros and
+obstacles, and contest-style design rules.  Two suites mirror the two
+experiment tables:
 
 * :func:`ispd18_suite` -- ten cases of increasing size/density for the
   Table II router-vs-router comparison,
 * :func:`ispd19_suite` -- ten denser cases with tighter color spacing (the
   "advanced rules" regime) for the Table III decomposition comparison.
 
-:mod:`repro.bench.micro` holds the hand-crafted Fig. 1 / Fig. 3 layouts.
+:mod:`repro.bench.micro` holds the hand-crafted Fig. 1 / Fig. 3 layouts and
+the solution digests (``solution_fingerprint``, ``solution_metrics``) the
+parity tests compare.
 """
 
 from repro.bench.synthetic import SyntheticSpec, generate_design

@@ -7,7 +7,7 @@ expansion callback over flat grid indices.
 
 :mod:`repro.search.legacy` keeps frozen ``GridPoint``-dict reference
 implementations of the three searches (the seed architecture) for parity
-testing and the engine micro-benchmarks; production routers never use them.
+testing; production routers never use them.
 """
 
 from repro.search.core import (

@@ -8,13 +8,10 @@ before the flat-index :class:`repro.search.SearchCore` refactor (plus the
 Alg. 2 equal-cost color-state merge fix, applied to both generations so
 they stay semantically identical).
 
-They exist for two reasons only:
-
-* **parity tests** route the same designs through a legacy engine and the
-  flat-index adapter and assert bit-identical solutions, proving the
-  refactor changed the representation, not the algorithm;
-* **micro-benchmarks** (:mod:`repro.bench.micro`) measure the speedup of
-  the flat engines against this reference.
+They exist for one reason only: **parity tests** route the same designs
+through a legacy engine and the flat-index adapter and assert
+bit-identical solutions, proving the refactor changed the representation,
+not the algorithm.
 
 Production routers never instantiate them; new behaviour goes into the
 adapters, not here.

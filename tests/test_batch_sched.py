@@ -558,7 +558,7 @@ def test_suffix_message_batching_accounts_and_elides():
     assert stats.suffix_bytes > 0
     # In-sync workers get the None sentinel instead of an empty frame.
     assert stats.suffix_elisions >= 0
-    # The counters ride into the merged dict (campaign/bench JSON).
+    # The counters ride into the merged dict (campaign checkpoint).
     merged = stats.as_dict()
     for key in (
         "suffix_messages", "suffix_pickles", "suffix_bytes",

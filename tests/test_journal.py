@@ -351,13 +351,18 @@ def test_route_with_checkpoint_rejects_other_routers_campaign(tmp_path):
 
 
 def test_env_knob_rejects_malformed_values(monkeypatch):
-    from repro.bench.micro import default_bench_scale
+    from benchmarks.conftest import bench_cases, bench_scale
 
     monkeypatch.setenv("REPRO_BENCH_SCALE", "half")
     with pytest.raises(ValueError, match="REPRO_BENCH_SCALE"):
-        default_bench_scale()
+        bench_scale()
     monkeypatch.setenv("REPRO_BENCH_SCALE", "0.25")
-    assert default_bench_scale() == 0.25
+    assert bench_scale() == 0.25
+    monkeypatch.setenv("REPRO_BENCH_CASES", "1,two")
+    with pytest.raises(ValueError, match="REPRO_BENCH_CASES"):
+        bench_cases()
+    monkeypatch.setenv("REPRO_BENCH_CASES", " 2, 4,")
+    assert bench_cases() == [2, 4]
 
 
 def test_checkpoint_saves_atomically(tmp_path):

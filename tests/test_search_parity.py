@@ -24,8 +24,7 @@ from repro.tpl.search import ColorStateSearch
 from tests.test_grid import make_design
 
 
-# One shared definition of "identical solutions" for both the parity tests
-# and the CI bench gate (repro.bench.micro), so the two can never drift.
+# One shared definition of "identical solutions" for every parity test.
 fingerprint = solution_fingerprint
 metrics = solution_metrics
 
