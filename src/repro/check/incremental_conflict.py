@@ -395,7 +395,7 @@ class IncrementalConflictChecker:
             pair = (name, partner) if name <= partner else (partner, name)
             if pair in self._pair_conflicts:
                 continue  # the partner was dirty too and already rescanned
-            conflicts = self._classify_net_pair(name, partner)
+            conflicts = self._classify_net_pair(*pair)
             self._pair_conflicts[pair] = conflicts
             self._pairs_by_net.setdefault(name, set()).add(pair)
             self._pairs_by_net.setdefault(partner, set()).add(pair)

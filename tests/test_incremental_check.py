@@ -183,6 +183,45 @@ def test_full_router_flows_match_full_scan():
     )
 
 
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_report_independent_of_refresh_order(seed):
+    """Refreshing the same nets in two orders gives the same whole report.
+
+    A net pair is classified when the second of its nets is refreshed, so
+    forward and reverse order reach each pair from opposite sides.  The
+    conflict anchor (``location``) must not depend on that side, or rip-up
+    history would land on vertices chosen by the order of a string set,
+    which follows ``PYTHONHASHSEED``.
+    """
+    spec = SyntheticSpec(
+        name="order", seed=seed, cols=14, rows=14, num_layers=3, num_nets=10,
+        color_spacing=10, net_radius=8, obstacle_count=2,
+        colored_obstacle_fraction=0.5,
+    )
+    design = generate_design(spec)
+    grid = RoutingGrid(design)
+    solution = MrTPLRouter(
+        design, grid=grid, use_global_router=False, max_iterations=0
+    ).run()
+    names = sorted(solution.routes)
+
+    def refreshed_in(order):
+        checker = IncrementalConflictChecker(design, grid)
+        partial = RoutingSolution(design_name=design.name, router_name="order")
+        for name in order:
+            partial.add_route(solution.routes[name])
+            checker.refresh(partial)
+        return checker.report()
+
+    forward = refreshed_in(names)
+    backward = refreshed_in(names[::-1])
+    assert any(
+        not conflict.net_b.startswith("__fixed__") for conflict in forward.conflicts
+    ), "case has no net-pair conflict to anchor"
+    assert forward.conflicts == backward.conflicts
+    assert forward.uncolored_vertices == backward.uncolored_vertices
+
+
 def test_grid_reset_forces_rebuild():
     driver = MutationDriver(seed=5, num_nets=4)
     rng = SeededRNG(99)
