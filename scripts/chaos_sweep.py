@@ -7,7 +7,7 @@ replay threshold, dropped pipes, transient compute errors and slow
 replies, each gated by a seeded ``p=`` draw -- and routes the
 pool-engaging sparse case with every router across a range of seeds.
 Every campaign must complete and stay **bit-identical** to its fault-free
-serial reference (the degradation ladder's serial floor guarantees
+serial reference (the pool -> serial demotion guarantees
 completion no matter what fires); the per-run recovery counters are
 accumulated into a JSON report CI uploads as the recovery-stats artifact.
 

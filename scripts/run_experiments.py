@@ -4,18 +4,16 @@
 Usage::
 
     python scripts/run_experiments.py [scale] [max_cases] [parallelism]
-        [--backend thread|pool|serial]
-        [--min-fork-batch N] [--margin-cells N]
+        [--backend serial|pool] [--min-fork-batch N]
 
 A ``parallelism`` above 1 routes through the :mod:`repro.sched` batched
-rip-up loop (speculative backend, order-preserving prefix policy --
-bit-identical results, concurrent batch computation on multi-core hosts).
-``--backend pool`` uses the persistent journal-replicated worker pool
-(workers fork once and catch up between batches by journal-suffix replay;
-it needs the ``fork`` start method).  ``--min-fork-batch`` and
-``--margin-cells`` expose the executor/scheduler tuning knobs (defaults
-3 / 0) so multi-core hosts can tune them from the recorded fallback
-counters.
+rip-up loop on the ``pool`` backend by default: persistent
+journal-replicated workers that fork once and catch up between batches by
+journal-suffix replay (it needs the ``fork`` start method).  Results are
+bit-identical to the serial loop.  The pool pays on one-pass sparse
+routing but loses on rip-up campaigns like these tables, so
+``--backend serial`` is often the faster choice.  ``--min-fork-batch``
+is the smallest batch that starts the pool's workers (default 3).
 
 Rows are appended to ``experiment_results.jsonl`` in the repository root so a
 partially completed run is still usable for EXPERIMENTS.md.
@@ -41,8 +39,8 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument(
         "--backend",
         default=None,
-        choices=("serial", "thread", "pool"),
-        help="batched-executor backend (default: thread when parallelism > 1)",
+        choices=("serial", "pool"),
+        help="batched-executor backend (default: pool when parallelism > 1)",
     )
     parser.add_argument(
         "--min-fork-batch",
@@ -50,13 +48,6 @@ def parse_args() -> argparse.Namespace:
         default=None,
         help="smallest batch that starts the pool backend's workers "
         "(default: 3)",
-    )
-    parser.add_argument(
-        "--margin-cells",
-        type=int,
-        default=None,
-        help="extra scheduler window margin in cells "
-        "(default: 0)",
     )
     return parser.parse_args()
 
@@ -68,12 +59,11 @@ def main() -> None:
     parallelism = args.parallelism
     backend = args.backend
     if backend is None:
-        backend = "thread" if parallelism > 1 else "serial"
+        backend = "pool" if parallelism > 1 else "serial"
     knobs = {
         "parallelism": parallelism,
         "batch_backend": backend,
         "min_fork_batch": args.min_fork_batch,
-        "batch_margin": args.margin_cells,
     }
     with OUT.open("a") as handle:
         for case in ispd18_suite(scale, cases=list(range(1, max_cases + 1))):

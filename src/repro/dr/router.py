@@ -36,11 +36,12 @@ class DetailedRouter:
 
     The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
     the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
-    the default (``parallelism=1``, no batch size) keeps the plain
-    sequential loop.  ``batch_backend="auto"`` picks the backend from the
-    host; failing batches demote it down the ``pool -> thread -> serial``
-    ladder.  The ``pool`` backend forks its workers, so it raises
-    ``ValueError`` on a platform without the ``fork`` start method.
+    the default keeps the plain sequential loop.  ``batch_backend`` is
+    ``"serial"`` (default) or ``"pool"``.  The pool forks its workers, so
+    it raises ``ValueError`` on a platform without the ``fork`` start
+    method; failing pool batches demote it to serial.  The pool pays on
+    one-pass sparse routing and loses on rip-up campaigns (measurements
+    in :mod:`repro.sched`).
     """
 
     name = "plain-dr"
@@ -55,9 +56,7 @@ class DetailedRouter:
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
-        batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
-        batch_margin: Optional[int] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -85,9 +84,7 @@ class DetailedRouter:
             parallelism,
             batch_size,
             batch_backend,
-            batch_policy,
             min_fork_batch=min_fork_batch,
-            margin_cells=batch_margin,
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and checkpoints see one record.
@@ -164,7 +161,7 @@ class DetailedRouter:
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         if self.batch_executor is not None:
-            self.batch_executor.close()  # release worker threads between runs
+            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def _route_many(self, nets: List[Net], solution: RoutingSolution) -> None:
@@ -182,7 +179,7 @@ class DetailedRouter:
 
         The batch executor creates one per worker so concurrent searches
         never share label buffers.  ``None`` for the legacy engine, which
-        the speculative backends do not support.
+        the pool backend does not support.
         """
         if self._engine_kind != "flat":
             return None

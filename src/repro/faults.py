@@ -69,9 +69,8 @@ Injection sites
     Pool worker closes its pipe and exits cleanly without replying --
     the parent sees a bare EOF.
 ``compute.error``
-    Speculative compute raises :class:`FaultError` (fires on both
-    speculative backends: thread and pool workers both route through
-    ``_compute_speculative``).
+    Pool worker's speculative compute (``_compute_speculative``) raises
+    :class:`FaultError`.
 ``checkpoint.tear``
     ``journal_io._write_atomic`` writes a torn (truncated, non-atomic)
     document to the *final* path, simulating the power-loss window a

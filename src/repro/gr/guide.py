@@ -43,8 +43,8 @@ class RouteGuide:
         """Return the guide as per-cell ``(layer, rect)`` rectangles."""
         return [(cell.layer, gcell_grid.cell_rect(cell)) for cell in sorted(self.cells)]
 
-    def expanded(self, gcell_grid: GCellGrid, margin_cells: int = 1) -> "RouteGuide":
-        """Return a guide grown by *margin_cells* GCells in every direction.
+    def expanded(self, gcell_grid: GCellGrid, margin: int = 1) -> "RouteGuide":
+        """Return a guide grown by *margin* GCells in every direction.
 
         Detailed routers conventionally bloat guides slightly so pin access
         and small detours remain in-guide.
@@ -58,8 +58,8 @@ class RouteGuide:
         for cell in self.cells:
             layer, gx, gy = cell.layer, cell.gx, cell.gy
             if 0 <= layer < num_layers:
-                xs = range(max(gx - margin_cells, 0), min(gx + margin_cells + 1, num_gx))
-                ys = range(max(gy - margin_cells, 0), min(gy + margin_cells + 1, num_gy))
+                xs = range(max(gx - margin, 0), min(gx + margin + 1, num_gx))
+                ys = range(max(gy - margin, 0), min(gy + margin + 1, num_gy))
                 for x in xs:
                     for y in ys:
                         grown[(layer, x, y)] = None

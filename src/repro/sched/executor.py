@@ -1,33 +1,27 @@
 """Batch execution of disjoint net batches over a shared routing grid.
 
 The executor routes the batches a :class:`~repro.sched.batches.BatchScheduler`
-plans, through one of three backends:
+plans, through one of two backends:
 
 ``"serial"`` (default, the parity oracle)
     Routes every batch member with the router's own ``route_net`` --
     immediate grid commits, identical call sequence to the sequential loop.
-    With the scheduler's order-preserving ``prefix`` policy this *is* the
-    sequential loop, so results are bit-identical by construction.
+    The scheduler's batches preserve the queue order, so this *is* the
+    sequential loop and results are bit-identical by construction.
 
-``"thread"`` / ``"pool"`` (speculative snapshot routing)
+``"pool"`` (speculative snapshot routing)
     All nets of a batch are routed concurrently against the grid state at
-    batch start ("the snapshot"): workers call the router's
-    ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
-    (reads only, commits recorded) and a per-worker search engine, so the
-    epoch-stamped label buffers of concurrent searches never collide.  The
-    thread backend shares the live buffers under the GIL.
-
-    The ``pool`` backend keeps **persistent journal-replicated workers**:
-    processes fork *once* (attaching a :class:`repro.journal
+    batch start ("the snapshot") by **persistent journal-replicated
+    workers**: processes fork *once* (attaching a :class:`repro.journal
     .MutationJournal` to the grid first, so every later mutation is
     logged), and between batches each worker catches up by replaying only
     the journal suffix past its cursor through ``RoutingGrid.apply_op`` --
-    no re-fork, no snapshot serialisation.  Because replay is
-    bit-identical (the journal replay guarantee), a caught-up worker's
-    grid is byte-for-byte the parent's, and the same explored-region
-    validation + live-reroute fallback applies unchanged.  The backend
-    needs the ``fork`` start method; without it, asking for ``pool`` is a
-    ``ValueError``.
+    no re-fork, no snapshot serialisation.  Because replay is bit-identical
+    (the journal replay guarantee), a caught-up worker's grid is
+    byte-for-byte the parent's.  Workers call the router's
+    ``compute_route`` with a :class:`~repro.sched.commit.RecordingSink`
+    (reads only, commits recorded).  The backend needs the ``fork`` start
+    method; without it, asking for ``pool`` is a ``ValueError``.
 
     Commits are then applied **serially in batch order** with a speculative
     validation step: a snapshot-computed route is exact iff the search
@@ -42,30 +36,23 @@ plans, through one of three backends:
     grid hooks, so the incremental DRC/conflict checkers see the same delta
     stream either way.
 
-``"auto"`` (accepted by :func:`make_batch_executor` only) picks one of the
-three from the host with :func:`recommend_backend`.
-
-Determinism caveat shared by both speculative backends: deferring a net's
-own mid-route color commits is bit-neutral only because pressure values are
-sums of ``conflict_cost`` increments (exact in IEEE-754 for the default
-rule values); the differential suite in ``tests/test_batch_sched.py``
-asserts the end-to-end guarantee per backend.
+Determinism caveat of the pool backend: deferring a net's own mid-route
+color commits is bit-neutral only because pressure values are sums of
+``conflict_cost`` increments (exact in IEEE-754 for the default rule
+values); the differential suite in ``tests/test_batch_sched.py`` asserts
+the end-to-end guarantee.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.accel import active_search_tier, get_native_kernel
+from repro.accel import get_native_kernel
 from repro.design import Net
 from repro.grid import RoutingSolution
 from repro.profiling import PhaseTimes
@@ -77,52 +64,18 @@ from repro.sched.supervisor import (
     WorkerFailure,
     await_worker_reply,
     classify_exception,
-    degradation_ladder,
 )
 
-#: Backends accepted by :class:`BatchExecutor` (``"auto"`` additionally
-#: accepted by :func:`make_batch_executor`, which resolves it with
-#: :func:`recommend_backend` before the executor is built).
-BACKENDS = ("serial", "thread", "pool")
+#: Backends accepted by :class:`BatchExecutor`.
+BACKENDS = ("serial", "pool")
 
 #: Smallest batch that starts the pool's workers when the caller gives none.
 DEFAULT_MIN_FORK_BATCH = 3
 
 
-def usable_cpu_count() -> int:
-    """Return the number of cores this process may schedule on.
-
-    CPU affinity is respected: a containerised 1-core slice of a 64-core
-    host must not start 64 workers.
-    """
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        return max(1, os.cpu_count() or 1)
-
-
 def fork_available() -> bool:
     """Return whether the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def recommend_backend(parallelism: int) -> str:
-    """Resolve ``backend="auto"`` from the host (a pure, static rule).
-
-    Single-core (or single-worker) hosts route serially -- speculation and
-    IPC are pure overhead without cores to hide them on.  With the native
-    kernel active the thread backend is the cheapest real parallelism (the
-    C relaxation loop drops the GIL; no fork, no IPC, no journal replay).
-    Otherwise threads serialise on the GIL, so the journal-replicated pool
-    is the only tier that can scale -- when fork exists to build it.
-    """
-    if usable_cpu_count() < 2 or parallelism < 2:
-        return "serial"
-    if active_search_tier() == "native":
-        return "thread"
-    if fork_available():
-        return "pool"
-    return "thread"
 
 
 @dataclass
@@ -144,7 +97,7 @@ class ExecutorStats:
     #: Pool workers that ignored the shutdown message and had to be
     #: terminated/killed at close (hung-worker escalation).
     worker_kills: int = 0
-    #: Failed parallel batches retried on the same backend tier (bounded by
+    #: Failed parallel batches retried on the pool (bounded by
     #: ``SupervisorConfig.max_retries``, exponential backoff between
     #: attempts).
     retries: int = 0
@@ -153,8 +106,8 @@ class ExecutorStats:
     #: Failed pool workers removed and replaced individually (the pool
     #: survives; only the broken worker restarts).
     worker_replacements: int = 0
-    #: Backend demotions down the degradation ladder (pool -> thread ->
-    #: serial) after consecutive retry-exhausted failures.
+    #: Backend demotions (pool -> serial) after consecutive
+    #: retry-exhausted failures; at most one per executor.
     demotions: int = 0
     #: Coalesced journal-suffix catch-up messages actually shipped to pool
     #: workers (one framed message per worker per batch).
@@ -663,12 +616,8 @@ class PersistentWorkerPool:
 def _compute_speculative(router, net: Net, engine) -> SpeculativeRoute:
     """Route *net* against the current grid state without mutating it."""
     if faults.ARMED:
-        # These sites live here so both speculative backends -- thread and
-        # persistent pool -- exercise the same hang and compute-error paths.  The serial oracle never calls this.  The
-        # crash site only fires inside a subprocess: an ``os._exit`` on a
-        # thread-backend hit would take the whole campaign process down.
-        if multiprocessing.parent_process() is not None:
-            faults.fire("worker.crash", net=net.name)
+        # Only pool workers call this; the serial oracle never does.
+        faults.fire("worker.crash", net=net.name)
         faults.fire("worker.hang", net=net.name)
         faults.fire("compute.error", net=net.name)
     tracker = ExploredTracker(router.grid, getattr(engine, "node_stride", 1))
@@ -689,48 +638,28 @@ def make_batch_executor(
     parallelism: int = 1,
     batch_size: Optional[int] = None,
     backend: str = "serial",
-    policy: str = "prefix",
     min_fork_batch: Optional[int] = None,
-    margin_cells: Optional[int] = None,
 ) -> Optional["BatchExecutor"]:
     """Build a router's executor from its constructor knobs.
 
     Batching engages when any knob leaves its default (``parallelism > 1``,
-    an explicit ``batch_size`` or a non-serial backend); otherwise ``None``
+    an explicit ``batch_size`` or the ``pool`` backend); otherwise ``None``
     is returned and the router keeps its plain sequential loop.
-    ``min_fork_batch`` and ``margin_cells`` left at ``None`` mean
-    :data:`DEFAULT_MIN_FORK_BATCH` and no extra scheduler margin.
-
-    ``backend="auto"`` is resolved first by :func:`recommend_backend` --
-    and, when ``parallelism`` was left at 1, the worker count becomes the
-    usable core count -- so an ``auto`` run that resolves to serial with
-    default batch knobs builds no executor, exactly like the default.
-    An explicit ``backend="pool"`` on a platform without the ``fork``
-    start method raises ``ValueError``.
+    ``min_fork_batch`` left at ``None`` means :data:`DEFAULT_MIN_FORK_BATCH`.
+    ``backend="pool"`` on a platform without the ``fork`` start method
+    raises ``ValueError``.
     """
-    if backend == "auto":
-        if parallelism <= 1:
-            parallelism = usable_cpu_count()
-        backend = recommend_backend(parallelism)
-    elif backend not in BACKENDS:
-        raise ValueError(
-            f"unknown batch backend {backend!r}; expected one of {BACKENDS + ('auto',)}"
-        )
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown batch backend {backend!r}; expected one of {BACKENDS}")
     if parallelism <= 1 and batch_size is None and backend == "serial":
         return None
     parallelism = max(1, parallelism)
     max_batch = batch_size if batch_size is not None else 4 * parallelism
-    scheduler = BatchScheduler(
-        router.grid,
-        policy=policy,
-        max_batch=max_batch,
-        margin_cells=margin_cells,
-    )
     return BatchExecutor(
         router,
         backend=backend,
         parallelism=parallelism,
-        scheduler=scheduler,
+        scheduler=BatchScheduler(router.grid, max_batch=max_batch),
         min_fork_batch=(
             DEFAULT_MIN_FORK_BATCH if min_fork_batch is None else min_fork_batch
         ),
@@ -747,17 +676,17 @@ class BatchExecutor:
         ``compute_route(net, engine=..., sink=...)`` and
         ``make_search_engine()``.
     backend:
-        ``"serial"`` (deterministic default), ``"thread"`` or ``"pool"``
-        (persistent journal-replicated workers: fork once, catch up by
-        journal-suffix replay; ``ValueError`` on a host without the
-        ``fork`` start method).
+        ``"serial"`` (deterministic default) or ``"pool"`` (persistent
+        journal-replicated workers: fork once, catch up by journal-suffix
+        replay; ``ValueError`` on a host without the ``fork`` start
+        method).
     parallelism:
-        Worker count for the concurrent backends (also the default
-        scheduler batch cap when *scheduler* is not supplied).
+        Worker count of the pool (also the default scheduler batch cap
+        when *scheduler* is not supplied).
     scheduler:
         Optional pre-configured :class:`BatchScheduler`; by default an
-        order-preserving prefix scheduler capped at ``4 * parallelism``
-        nets per batch.
+        order-preserving scheduler capped at ``4 * parallelism`` nets per
+        batch.
     min_fork_batch:
         Smallest batch that starts the ``pool`` backend's workers: smaller
         batches route serially until the pool exists, and once started the
@@ -782,36 +711,29 @@ class BatchExecutor:
         if backend == "pool" and not fork_available():
             raise ValueError(
                 "batch backend 'pool' needs the 'fork' start method, which this "
-                "platform lacks; use 'thread', 'serial' or 'auto'"
+                "platform lacks; use 'serial'"
             )
         self.router = router
+        #: The configured backend; :attr:`active_backend` is the one in use,
+        #: which drops to ``"serial"`` for good after a demotion.
         self.backend = backend
+        self.active_backend = backend
         self.parallelism = max(1, parallelism)
         self.scheduler = scheduler if scheduler is not None else BatchScheduler(
-            router.grid, policy="prefix", max_batch=4 * self.parallelism
+            router.grid, max_batch=4 * self.parallelism
         )
         self.min_fork_batch = max(2, min_fork_batch)
         self.stats = ExecutorStats()
-        # Supervision: deadlines/retries/backoff policy plus the graceful-
-        # degradation ladder.  `backend` stays the *configured* tier;
-        # `active_backend` is the current (possibly demoted) one.
+        # Supervision: deadlines/retries/backoff policy plus the failure
+        # streak that triggers the demotion to serial.
         self.supervisor = supervisor if supervisor is not None else SupervisorConfig()
-        self._ladder = degradation_ladder(backend)
-        self._tier_index = 0
         self._consecutive_failures = 0
-        # Thread pools retired after a deadline timeout: their hung threads
-        # cannot be killed, only abandoned (fresh pool + fresh engines) and
-        # shut down without waiting at close.
-        self._stale_thread_pools: List[ThreadPoolExecutor] = []
         # Influence reach: a committed vertex can change costs at most this
         # many cells away (color-pressure spread at the interaction radius).
         grid = router.grid
         self._influence_reach = grid.interaction_reach_cells(grid.interaction_radius())
         self._plane_size = grid.plane_size
         self._num_rows = grid.num_rows
-        # Lazily built per-worker engines (thread backend).
-        self._engine_queue: Optional[SimpleQueue] = None
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
         # Persistent worker pool (pool backend) and the journal the
         # executor attached for it (detached again when the pool closes).
         self._pool: Optional[PersistentWorkerPool] = None
@@ -820,31 +742,16 @@ class BatchExecutor:
         self._pool_seen: Dict[str, int] = {}
         if backend != "serial":
             # Warm the native kernel in the parent before any worker
-            # exists: threads share the loaded module outright, and pool
-            # workers inherit the mapped .so through fork -- no per-worker
-            # build attempt, no N compilers racing on first use.  A no-op
-            # when the tier is gated off or the extension cannot be built.
+            # exists: pool workers inherit the mapped .so through fork --
+            # no per-worker build attempt, no N compilers racing on first
+            # use.  A no-op when the tier is gated off or the extension
+            # cannot be built.
             get_native_kernel()
 
     # ------------------------------------------------------------------
 
-    @property
-    def active_backend(self) -> str:
-        """The backend tier currently in use (after any ladder demotions)."""
-        return self._ladder[self._tier_index]
-
     def close(self) -> None:
-        """Release worker pools (idempotent)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=True)
-            self._thread_pool = None
-        for stale in self._stale_thread_pools:
-            # Hung threads cannot be joined without blocking close (and,
-            # under a real hang, forever); abandon them.  Tests that
-            # inject thread-tier hangs use bounded sleeps so interpreter
-            # exit still completes.
-            stale.shutdown(wait=False)
-        self._stale_thread_pools = []
+        """Release the worker pool (idempotent)."""
         self._discard_pool()
 
     def route_nets(self, nets: Sequence[Net], solution: RoutingSolution) -> None:
@@ -884,7 +791,7 @@ class BatchExecutor:
     def _run_batch_parallel(
         self, batch: Sequence[Net], solution: RoutingSolution
     ) -> bool:
-        """Try the speculative backend on *batch*.
+        """Try the pool on *batch*.
 
         Returns whether the batch was routed; ``False`` lets the caller
         route it serially instead.
@@ -893,67 +800,51 @@ class BatchExecutor:
         ``supervisor.max_retries`` times with exponential backoff
         (:meth:`_compute_batch_with_retry`); once retries are exhausted the
         batch falls back to serial, and after ``supervisor.demote_after``
-        *consecutive* exhausted batches the executor demotes itself down
-        the degradation ladder (pool -> thread -> serial) for
-        the remainder of the campaign and re-attempts the batch at the
-        lower tier.  Serial is the floor: always available, bit-identical
-        by construction.  Every outcome is deterministic in *route terms*
-        -- retry, fallback and demotion all recompute from the same
-        authoritative parent grid state.
+        *consecutive* exhausted batches the executor demotes itself to
+        serial for the remainder of the campaign.  Serial is the floor:
+        always available, bit-identical by construction.  Every outcome is
+        deterministic in *route terms* -- retry, fallback and demotion all
+        recompute from the same authoritative parent grid state.
         """
-        while True:
-            backend = self.active_backend
-            if backend == "serial" or len(batch) < 2:
-                return False
-            if backend == "pool" and (
-                self._pool is None and len(batch) < self.min_fork_batch
-            ):
-                # Don't pay the one-time worker start for a campaign of tiny
-                # batches; once the pool exists it serves every parallel batch.
-                return False
-            # Pool batches spend their wall time in worker traffic (suffix
-            # shipping + result receive): account them as ipc; thread
-            # batches are concurrent search.
-            compute_phase = "ipc" if backend == "pool" else "search"
-            compute_started = time.perf_counter()
-            try:
-                results = self._compute_batch_with_retry(backend, batch)
-            except Exception:
-                self.stats.phases.add(
-                    compute_phase, time.perf_counter() - compute_started
-                )
-                self._consecutive_failures += 1
-                if (
-                    self._consecutive_failures >= self.supervisor.demote_after
-                    and self._ladder.index(backend) + 1 < len(self._ladder)
-                ):
-                    self._demote()
-                    continue  # re-attempt this batch at the lower tier
-                return False
-            self.stats.phases.add(compute_phase, time.perf_counter() - compute_started)
-            if results is None:
-                return False
-            self._consecutive_failures = 0
-            self.stats.parallel_batches += 1
-            self._commit_batch(batch, results, solution)
-            return True
+        if self.active_backend == "serial" or len(batch) < 2:
+            return False
+        if self._pool is None and len(batch) < self.min_fork_batch:
+            # Don't pay the one-time worker start for a campaign of tiny
+            # batches; once the pool exists it serves every parallel batch.
+            return False
+        # Pool batches spend their wall time in worker traffic (suffix
+        # shipping + result receive): account them as ipc.
+        compute_started = time.perf_counter()
+        try:
+            results = self._compute_batch_with_retry(batch)
+        except Exception:
+            self.stats.phases.add("ipc", time.perf_counter() - compute_started)
+            self._consecutive_failures += 1
+            if self._consecutive_failures >= self.supervisor.demote_after:
+                self._demote()
+            return False
+        self.stats.phases.add("ipc", time.perf_counter() - compute_started)
+        if results is None:
+            return False
+        self._consecutive_failures = 0
+        self.stats.parallel_batches += 1
+        self._commit_batch(batch, results, solution)
+        return True
 
     def _compute_batch_with_retry(
-        self, backend: str, batch: Sequence[Net]
+        self, batch: Sequence[Net]
     ) -> Optional[List[SpeculativeRoute]]:
-        """Run one batch on *backend* with classified, bounded retry.
+        """Run one batch on the pool with classified, bounded retry.
 
         Retryable failures (crash/timeout/replay/compute) are
         retried after exponential backoff -- the pool's surgical worker
         removal means a retry runs on the surviving workers plus lazily
         started replacements.  Fatal (design-error) failures and exhausted
-        retries re-raise to the ladder logic above.
+        retries re-raise to the demotion logic above.
         """
         attempt = 0
         while True:
             try:
-                if backend == "thread":
-                    return self._compute_batch_threaded(batch)
                 return self._compute_batch_pooled(batch)
             except Exception as exc:
                 self.stats.worker_errors += 1
@@ -976,70 +867,11 @@ class BatchExecutor:
                     time.sleep(backoff)
 
     def _demote(self) -> None:
-        """Step down one tier of the degradation ladder (permanently)."""
-        leaving = self.active_backend
-        self._tier_index += 1
+        """Fall back to serial for the rest of the executor's life."""
+        self.active_backend = "serial"
         self._consecutive_failures = 0
         self.stats.demotions += 1
-        if leaving == "pool":
-            self._discard_pool()
-
-    # -- thread backend -----------------------------------------------------
-
-    def _ensure_thread_workers(self) -> bool:
-        if self._engine_queue is None:
-            engines = []
-            for _ in range(self.parallelism):
-                engine = self.router.make_search_engine()
-                if engine is None:
-                    return False  # legacy engine: speculative routing unsupported
-                engines.append(engine)
-            queue: SimpleQueue = SimpleQueue()
-            for engine in engines:
-                queue.put(engine)
-            self._engine_queue = queue
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.parallelism, thread_name_prefix="repro-sched"
-            )
-        return True
-
-    def _compute_batch_threaded(
-        self, batch: Sequence[Net]
-    ) -> Optional[List[SpeculativeRoute]]:
-        if not self._ensure_thread_workers():
-            return None
-        queue = self._engine_queue
-
-        def task(net: Net) -> SpeculativeRoute:
-            engine = queue.get()
-            try:
-                return _compute_speculative(self.router, net, engine)
-            finally:
-                queue.put(engine)
-
-        deadline = self.supervisor.deadline_seconds(len(batch))
-        try:
-            if deadline is None:
-                return list(self._thread_pool.map(task, batch))
-            return list(self._thread_pool.map(task, batch, timeout=deadline))
-        except FuturesTimeout:
-            self._retire_thread_pool()
-            raise
-
-    def _retire_thread_pool(self) -> None:
-        """Abandon a timed-out thread pool (hung threads can't be killed).
-
-        The hung threads still hold checked-out engines, so the engine
-        queue is dropped too -- the next attempt builds a fresh pool and
-        fresh engines.  Retired pools are shut down (without waiting) at
-        :meth:`close`.
-        """
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False)
-            self._stale_thread_pools.append(self._thread_pool)
-            self._thread_pool = None
-        self._engine_queue = None
+        self._discard_pool()
 
     # -- pool (persistent journal-replicated workers) backend ------------------
 

@@ -5,7 +5,7 @@ Worker failure is an expected, *classified* event, not a campaign-ending
 
 * :class:`SupervisorConfig` -- the policy: per-batch wall-clock deadlines
   derived from batch size, bounded retries with exponential backoff, and
-  the consecutive-failure threshold that triggers a backend demotion.
+  the consecutive-failure threshold that demotes the pool to serial.
   A router's executor holds one (``executor.supervisor``); callers that
   want another policy replace it before the run.
 * :class:`FailureDetail` / :class:`WorkerFailure` -- one classified
@@ -15,11 +15,10 @@ Worker failure is an expected, *classified* event, not a campaign-ending
 * :func:`await_worker_reply` -- the supervised receive loop: polls the
   worker pipe, detects dead processes immediately, and classifies an
   expired batch deadline as a timeout.
-* :func:`degradation_ladder` -- the graceful-degradation order ``pool ->
-  thread -> serial``; serial is the always-correct floor
-  (bit-identical to the sequential loop by construction), so a campaign
-  that demotes all the way down still terminates with the exact fault-free
-  solution.
+
+The one demotion is ``pool -> serial``: serial is the always-correct floor
+(bit-identical to the sequential loop by construction), so a demoted
+campaign still terminates with the exact fault-free solution.
 
 Every recovery path re-routes through the executor's existing
 validation/fallback machinery, which is what keeps recovery bit-identical
@@ -31,21 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 #: Failure kinds, in the order used to pick an aggregate's headline kind.
 FAILURE_KINDS = ("timeout", "crash", "replay", "compute", "fatal")
-
-#: The graceful-degradation order.  Serial is the floor: always available,
-#: bit-identical to the sequential loop by construction.
-LADDER = ("pool", "thread", "serial")
-
-
-def degradation_ladder(backend: str) -> Tuple[str, ...]:
-    """Return the demotion sequence starting at *backend* (ending at serial)."""
-    if backend not in LADDER:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {LADDER}")
-    return LADDER[LADDER.index(backend):]
 
 
 @dataclass(frozen=True)
@@ -56,7 +44,7 @@ class SupervisorConfig:
     (``0`` disables deadlines); ``max_retries`` bounds the retries of one
     failed batch, attempt ``k`` sleeping ``backoff_base * 2**(k-1)``
     first; ``demote_after`` consecutive retry-exhausted batches demote the
-    executor one tier down the degradation ladder.
+    executor from the pool to serial.
     """
 
     deadline_override: Optional[float] = None
@@ -143,7 +131,7 @@ def classify_worker_payload(
 
 
 def classify_exception(exc: BaseException) -> str:
-    """Classify a parent-side exception from a thread/pool-tier batch.
+    """Classify a parent-side exception from a pool batch.
 
     Pipe breakage is a crash (retryable -- the next
     attempt starts fresh workers); anything else raised by the backend

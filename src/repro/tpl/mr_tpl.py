@@ -44,11 +44,12 @@ class MrTPLRouter:
 
     The ``parallelism`` / ``batch_size`` / ``batch_backend`` knobs switch
     the rip-up loop onto the :mod:`repro.sched` disjoint-batch executor;
-    the default keeps the plain sequential loop.  ``batch_backend="auto"``
-    picks the backend from the host; failing batches demote it down the
-    ``pool -> thread -> serial`` ladder.  The ``pool`` backend forks its
-    workers, so it raises ``ValueError`` on a platform without the
-    ``fork`` start method.
+    the default keeps the plain sequential loop.  ``batch_backend`` is
+    ``"serial"`` (default) or ``"pool"``.  The pool forks its workers, so
+    it raises ``ValueError`` on a platform without the ``fork`` start
+    method; failing pool batches demote it to serial.  The pool pays on
+    one-pass sparse routing and loses on rip-up campaigns (measurements
+    in :mod:`repro.sched`).
     """
 
     name = "mr-tpl"
@@ -65,9 +66,7 @@ class MrTPLRouter:
         parallelism: int = 1,
         batch_size: Optional[int] = None,
         batch_backend: str = "serial",
-        batch_policy: str = "prefix",
         min_fork_batch: Optional[int] = None,
-        batch_margin: Optional[int] = None,
     ) -> None:
         self.design = design
         self.grid = grid if grid is not None else RoutingGrid(design)
@@ -100,9 +99,7 @@ class MrTPLRouter:
             parallelism,
             batch_size,
             batch_backend,
-            batch_policy,
             min_fork_batch=min_fork_batch,
-            margin_cells=batch_margin,
         )
         # Per-phase wall-clock record: shared with the executor's stats when
         # one is engaged, so campaign merges and checkpoints see one record.
@@ -202,7 +199,7 @@ class MrTPLRouter:
         solution.iterations = iterations
         solution.runtime_seconds = timer.stop()
         if self.batch_executor is not None:
-            self.batch_executor.close()  # release worker threads between runs
+            self.batch_executor.close()  # release pool workers between runs
         return solution
 
     def schedule_nets(self) -> List[Net]:
@@ -227,7 +224,7 @@ class MrTPLRouter:
 
         The batch executor creates one per worker so concurrent searches
         never share label buffers.  ``None`` for the legacy engine, which
-        the speculative backends do not support.
+        the pool backend does not support.
         """
         if self._engine_kind != "flat":
             return None

@@ -1,26 +1,23 @@
 """Differential and unit tests for the disjoint-batch scheduler/executor.
 
 The heart of the suite is the differential harness: for every router and
-every executor backend the batched rip-up loop must produce solutions
-bit-identical to the plain sequential loop (order-preserving ``prefix``
-policy), across batch sizes and worker counts -- including the speculative
-thread and pool backends, whose explored-region validation plus sequential
-fallback is what the guarantee rests on.  The ``greedy`` policy permutes
-the net order, so its oracle is the serial executor on the same plan.
+both executor backends the batched rip-up loop must produce solutions
+bit-identical to the plain sequential loop (the scheduler's batches keep
+the queue order), across batch sizes and worker counts -- including the
+speculative pool backend, whose explored-region validation plus
+sequential fallback is what the guarantee rests on.
 
-Also covered: the static ``batch_backend="auto"`` rule (driven by
-monkeypatching the three host facts it reads), the rejection of unknown
-backends, and the pool's lifetime counters and suffix-message batching.
+Also covered: the rejection of unknown backends (and of the pool where
+``fork`` is missing), and the pool's lifetime counters and suffix-message
+batching.
 """
 
 import multiprocessing
-import os
 import sys
 
 import pytest
 
 import repro.sched.executor as executor_module
-from repro import faults
 from repro.baselines.dac2012 import Dac2012Router
 from repro.bench.micro import solution_fingerprint, solution_metrics
 from repro.bench.suites import sparse_suite, suite_case
@@ -32,11 +29,8 @@ from repro.sched import (
     BatchScheduler,
     GridSink,
     RecordingSink,
-    SupervisorConfig,
     apply_route_ops,
     make_batch_executor,
-    recommend_backend,
-    usable_cpu_count,
     windows_overlap,
 )
 from repro.tpl.mr_tpl import MrTPLRouter
@@ -49,7 +43,7 @@ ROUTERS = {
 
 HAVE_FORK = sys.platform != "win32" and "fork" in multiprocessing.get_all_start_methods()
 
-BACKENDS = ["serial", "thread"] + (["pool"] if HAVE_FORK else [])
+BACKENDS = ["serial"] + (["pool"] if HAVE_FORK else [])
 
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 
@@ -148,17 +142,16 @@ def test_prefix_plan_preserves_order_and_covers_every_net():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    plan = BatchScheduler(grid, policy="prefix").plan(nets)
+    plan = BatchScheduler(grid).plan(nets)
     flattened = [net for batch in plan for net in batch]
     assert flattened == nets  # concatenation IS the sequential order
 
 
-@pytest.mark.parametrize("policy", ["prefix", "greedy"])
-def test_batches_are_pairwise_disjoint_after_radius_expansion(policy):
+def test_batches_are_pairwise_disjoint_after_radius_expansion():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    scheduler = BatchScheduler(grid, policy=policy)
+    scheduler = BatchScheduler(grid)
     plan = scheduler.plan(nets)
     assert sorted(net.name for batch in plan for net in batch) == sorted(
         net.name for net in nets
@@ -180,15 +173,8 @@ def test_scheduler_respects_max_batch():
     design = build_case("ispd18", 3, 0.7)
     grid = RoutingGrid(design)
     nets = scheduled_router_nets(design)
-    for policy in ("prefix", "greedy"):
-        plan = BatchScheduler(grid, policy=policy, max_batch=2).plan(nets)
-        assert max(len(batch) for batch in plan) <= 2
-
-
-def test_scheduler_rejects_unknown_policy():
-    design = build_case("ispd18", 1, 0.5)
-    with pytest.raises(ValueError):
-        BatchScheduler(RoutingGrid(design), policy="round-robin")
+    plan = BatchScheduler(grid, max_batch=2).plan(nets)
+    assert max(len(batch) for batch in plan) <= 2
 
 
 # ----------------------------------------------------------------------
@@ -246,28 +232,30 @@ def test_batched_prefix_matches_sequential(router_key, backend):
         build_case("ispd18", 2, 0.5),
         parallelism=4,
         batch_backend=backend,
-        batch_policy="prefix",
     )
     assert batched == sequential
 
 
+@needs_fork
 @pytest.mark.parametrize("router_key", sorted(ROUTERS))
 @pytest.mark.parametrize("parallelism,batch_size", [(2, None), (4, 2), (4, 16)])
-def test_batched_thread_matches_sequential_across_batch_sizes(
+def test_batched_pool_matches_sequential_across_batch_sizes(
     router_key, parallelism, batch_size
 ):
     sequential = run_router(router_key, build_case("ispd19", 1, 0.5))
-    batched = run_router(
-        router_key,
+    router = ROUTERS[router_key](
         build_case("ispd19", 1, 0.5),
         parallelism=parallelism,
         batch_size=batch_size,
-        batch_backend="thread",
-        batch_policy="prefix",
+        batch_backend="pool",
+        min_fork_batch=2,
     )
-    assert batched == sequential
+    solution = router.run()
+    assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
+    assert router.batch_executor.stats.parallel_batches > 0
 
 
+@needs_fork
 @pytest.mark.parametrize("seed_case", [("ispd18", 1), ("ispd19", 2)])
 def test_batched_matches_sequential_across_seeds(seed_case):
     suite, number = seed_case
@@ -276,32 +264,12 @@ def test_batched_matches_sequential_across_seeds(seed_case):
         "color-state",
         build_case(suite, number, 0.5),
         parallelism=4,
-        batch_backend="thread",
+        batch_backend="pool",
     )
     assert batched == sequential
 
 
-def test_greedy_policy_is_backend_invariant():
-    """Greedy permutes the order (so it may differ from sequential), but all
-    backends must agree with the serial executor on the same plan."""
-    reference = run_router(
-        "color-state",
-        build_case("ispd18", 2, 0.5),
-        parallelism=4,
-        batch_backend="serial",
-        batch_policy="greedy",
-    )
-    for backend in BACKENDS:
-        again = run_router(
-            "color-state",
-            build_case("ispd18", 2, 0.5),
-            parallelism=4,
-            batch_backend=backend,
-            batch_policy="greedy",
-        )
-        assert again == reference
-
-
+@needs_fork
 def test_forced_fallback_still_matches_sequential(monkeypatch):
     """With speculation always rejected every net falls back to live
     sequential routing -- results must still match and the counters must
@@ -313,7 +281,7 @@ def test_forced_fallback_still_matches_sequential(monkeypatch):
         BatchExecutor, "_speculation_valid", lambda self, spec, committed: False
     )
     design = build_case("ispd18", 2, 0.5)
-    router = DetailedRouter(design, parallelism=4, batch_backend="thread")
+    router = DetailedRouter(design, parallelism=4, batch_backend="pool")
     solution = router.run()
     assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
     stats = router.batch_executor.stats
@@ -322,10 +290,11 @@ def test_forced_fallback_still_matches_sequential(monkeypatch):
         assert stats.speculative_fallbacks > 0
 
 
+@needs_fork
 def test_executor_stats_account_for_every_net():
     design = build_case("ispd18", 2, 0.5)
     router = MrTPLRouter(
-        design, use_global_router=False, parallelism=4, batch_backend="thread"
+        design, use_global_router=False, parallelism=4, batch_backend="pool"
     )
     router.run()
     stats = router.batch_executor.stats
@@ -335,14 +304,15 @@ def test_executor_stats_account_for_every_net():
     assert stats.worker_errors == 0
 
 
+@needs_fork
 def test_legacy_engine_falls_back_to_serial_batches():
-    """The speculative backends require the flat engine; with the legacy
-    engine the executor must degrade to (still bit-identical) serial
-    batches instead of failing."""
+    """The pool requires the flat engine; with the legacy engine the
+    executor must degrade to (still bit-identical) serial batches instead
+    of failing."""
     sequential = run_router("maze", build_case("ispd18", 1, 0.5), engine="legacy")
     design = build_case("ispd18", 1, 0.5)
     router = DetailedRouter(
-        design, engine="legacy", parallelism=4, batch_backend="thread"
+        design, engine="legacy", parallelism=4, batch_backend="pool"
     )
     solution = router.run()
     assert (solution_fingerprint(solution), solution_metrics(solution)) == sequential
@@ -369,7 +339,7 @@ def test_grid_sink_and_recording_sink_agree():
 
 
 # ----------------------------------------------------------------------
-# Static backend selection: batch_backend="auto"
+# Backend selection
 # ----------------------------------------------------------------------
 
 def sparse_case():
@@ -392,110 +362,22 @@ def serial_reference(router_key):
     return _SERIAL_REFS[router_key]
 
 
-def force_host(monkeypatch, cpus, tier, fork):
-    """Pin the three host facts the ``auto`` rule reads."""
-    monkeypatch.setattr(executor_module, "usable_cpu_count", lambda: cpus)
-    monkeypatch.setattr(executor_module, "active_search_tier", lambda: tier)
-    monkeypatch.setattr(executor_module, "fork_available", lambda: fork)
-
-
-def test_recommend_backend_static_rule(monkeypatch):
-    table = [
-        # cpus, parallelism, tier, fork -> backend
-        (1, 4, "native", True, "serial"),  # one core: nowhere to speculate
-        (4, 1, "native", True, "serial"),  # one worker: same
-        (4, 4, "native", True, "thread"),  # GIL-free kernel: threads scale
-        (4, 4, "native", False, "thread"),
-        (4, 4, "python", True, "pool"),  # GIL-bound search: fork a pool...
-        (4, 4, "python", False, "thread"),  # ...threads without fork
-    ]
-    for cpus, parallelism, tier, fork, expected in table:
-        force_host(monkeypatch, cpus, tier, fork)
-        assert recommend_backend(parallelism) == expected, (cpus, parallelism, tier, fork)
-
-
-def test_usable_cpu_count_is_affinity_bounded():
-    count = usable_cpu_count()
-    assert 1 <= count <= (os.cpu_count() or count)
-    if hasattr(os, "sched_getaffinity"):
-        assert count == len(os.sched_getaffinity(0))
-
-
-def test_auto_on_one_usable_core_builds_no_executor(monkeypatch):
-    force_host(monkeypatch, 1, "native", True)
-    for router_key in sorted(ROUTERS):
-        router = make_router(router_key, sparse_case(), batch_backend="auto")
-        assert router.batch_executor is None, router_key
-
-
-@pytest.mark.parametrize("backend", ["process", "gpu"])
+@pytest.mark.parametrize("backend", ["process", "gpu", "thread", "auto"])
 def test_unknown_backend_is_rejected(backend):
     with pytest.raises(ValueError) as excinfo:
         make_router("color-state", sparse_case(), batch_backend=backend)
     message = str(excinfo.value)
-    for name in ("serial", "thread", "pool", "auto"):
+    for name in ("serial", "pool"):
         assert repr(name) in message
 
 
 def test_pool_backend_without_fork_is_rejected(monkeypatch):
     # The pool forks its workers: on a platform without the fork start
-    # method asking for it must fail at construction, naming the cause,
-    # while ``auto`` on the same host still resolves to a usable tier.
-    force_host(monkeypatch, 4, "python", False)
+    # method asking for it must fail at construction, naming the cause.
+    monkeypatch.setattr(executor_module, "fork_available", lambda: False)
     router = make_router("color-state", sparse_case())
     with pytest.raises(ValueError, match="fork"):
         make_batch_executor(router, parallelism=2, backend="pool")
-    executor = make_batch_executor(router, parallelism=2, backend="auto")
-    assert executor.backend == "thread"
-
-
-@pytest.mark.parametrize("router_key", sorted(ROUTERS))
-def test_auto_backend_thread_is_bit_identical_to_serial(router_key, monkeypatch):
-    force_host(monkeypatch, 4, "native", True)
-    router = make_router(
-        router_key, sparse_case(), parallelism=2, batch_backend="auto",
-        min_fork_batch=2,
-    )
-    assert router.batch_executor.backend == "thread"
-    fingerprint = solution_fingerprint(router.run())
-    assert fingerprint == serial_reference(router_key)
-    assert router.batch_executor.stats.parallel_batches > 0
-
-
-@needs_fork
-@pytest.mark.parametrize("router_key", sorted(ROUTERS))
-def test_auto_backend_pool_is_bit_identical_to_serial(router_key, monkeypatch):
-    force_host(monkeypatch, 4, "python", True)
-    router = make_router(
-        router_key, sparse_case(), parallelism=2, batch_backend="auto",
-        min_fork_batch=2,
-    )
-    assert router.batch_executor.backend == "pool"
-    fingerprint = solution_fingerprint(router.run())
-    assert fingerprint == serial_reference(router_key)
-    stats = router.batch_executor.stats
-    assert stats.parallel_batches > 0 and stats.pool_forks > 0
-
-
-def test_auto_backend_survives_injected_faults(monkeypatch):
-    # Fail every speculative compute under an auto-resolved thread
-    # backend: the ladder must demote to serial and the run must stay
-    # bit-identical.
-    force_host(monkeypatch, 4, "native", True)
-    reference = serial_reference("color-state")
-    with faults.injected("compute.error:times=*"):
-        router = make_router(
-            "color-state", sparse_case(), parallelism=2,
-            batch_backend="auto", min_fork_batch=2,
-        )
-        router.batch_executor.supervisor = SupervisorConfig(
-            max_retries=0, demote_after=1, backoff_base=0
-        )
-        fingerprint = solution_fingerprint(router.run())
-    executor = router.batch_executor
-    assert fingerprint == reference
-    assert executor.stats.demotions == 1  # thread -> serial
-    assert executor.active_backend == "serial"
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ Three layers:
 * **Classification layer** -- worker payloads and raised exceptions map
   to the failure-kind taxonomy, :class:`WorkerFailure` aggregates every
   per-worker detail (index + journal cursor in the message), the
-  degradation ladder and the supervisor's deadlines resolve correctly,
+  pool -> serial demotion and the supervisor's deadlines resolve correctly,
   and hardened checkpoint loading rejects torn/corrupt documents while
   the keep-K rotation always leaves a valid fallback.
 * **Differential matrix** -- each injected fault class (worker crash,
@@ -18,8 +18,7 @@ Three layers:
   pool-engaging case: the campaign must complete, the solution must be
   **bit-identical** to the fault-free serial run, and the recovery must
   be visible in ``ExecutorStats`` (retries, replacements, deadline
-  timeouts, demotions).  Plus recovery coverage for the thread tier and
-  the ladder's demote-to-serial floor.
+  timeouts, demotions).  Plus the demotion to the serial floor.
 """
 
 import json
@@ -45,13 +44,13 @@ from repro.io.journal_io import (
     load_checkpoint_document_with_fallback,
     save_checkpoint,
 )
+from repro.sched import BACKENDS, make_batch_executor
 from repro.sched.supervisor import (
     FailureDetail,
     SupervisorConfig,
     WorkerFailure,
     classify_exception,
     classify_worker_payload,
-    degradation_ladder,
 )
 from repro.tpl.mr_tpl import MrTPLRouter
 
@@ -213,7 +212,7 @@ def test_fire_actions():
 
 
 # ----------------------------------------------------------------------
-# (b) Classification, ladder, supervisor knobs
+# (b) Classification, demotion, supervisor knobs
 # ----------------------------------------------------------------------
 
 def test_classify_worker_payload():
@@ -261,13 +260,18 @@ def test_worker_failure_aggregates_every_detail():
     assert not fatal.retryable
 
 
+@needs_fork
 def test_degradation_ladder():
-    assert degradation_ladder("pool") == ("pool", "thread", "serial")
-    assert degradation_ladder("thread") == ("thread", "serial")
-    assert degradation_ladder("serial") == ("serial",)
-    for retired in ("gpu", "process"):
-        with pytest.raises(ValueError):
-            degradation_ladder(retired)
+    # One step: pool -> serial.  The configured backend stays on record.
+    assert BACKENDS == ("serial", "pool")
+    router = make_router("color-state", sparse_case())
+    executor = make_batch_executor(router, parallelism=2, backend="pool")
+    assert (executor.backend, executor.active_backend) == ("pool", "pool")
+    executor._demote()
+    assert (executor.backend, executor.active_backend) == ("pool", "serial")
+    assert executor.stats.demotions == 1
+    serial = make_batch_executor(router, parallelism=2, backend="serial")
+    assert serial.active_backend == "serial"
 
 
 def test_supervisor_config_deadlines_and_backoff():
@@ -505,8 +509,7 @@ def test_matrix_torn_final_checkpoint_resume(router_key, tmp_path):
 
 @needs_fork
 def test_ladder_demotes_to_serial_floor():
-    # Unbounded compute errors at every speculative tier: the executor
-    # must walk the whole ladder (pool -> thread) and land on
+    # Unbounded compute errors on the pool: the executor must demote to
     # serial, which cannot fail -- and the run stays bit-identical.
     with injected("compute.error:times=*"):
         fingerprint, router = run_supervised(
@@ -516,41 +519,9 @@ def test_ladder_demotes_to_serial_floor():
     executor = router.batch_executor
     assert fingerprint == serial_reference("color-state")
     assert executor.active_backend == "serial"
-    assert executor.stats.demotions == 2  # pool -> thread -> serial
+    assert executor.stats.demotions == 1  # pool -> serial
     assert executor.stats.parallel_batches == 0
-    assert executor.stats.worker_errors >= 2  # one per failed tier
-
-
-# ----------------------------------------------------------------------
-# (e) Thread-tier recovery: hung tasks and transient errors (pool covered
-#     above)
-# ----------------------------------------------------------------------
-
-def test_thread_backend_recovers_from_hung_task():
-    # A hung thread cannot be killed: the executor retires the whole
-    # thread pool (hung threads and all) and retries on a fresh one.
-    # Bounded sleep -- the stale thread must not outlive the test run.
-    with injected("worker.hang:seconds=3"):
-        fingerprint, router = run_supervised(
-            "color-state", batch_backend="thread",
-            supervisor=SupervisorConfig(deadline_override=0.5, backoff_base=0),
-        )
-    stats = router.batch_executor.stats
-    assert fingerprint == serial_reference("color-state")
-    assert stats.deadline_timeouts >= 1
-    assert stats.retries >= 1
-    assert stats.demotions == 0  # one retirement, no tier lost
-
-
-def test_thread_backend_retries_transient_error():
-    with injected("compute.error"):
-        fingerprint, router = run_supervised(
-            "color-state", batch_backend="thread"
-        )
-    stats = router.batch_executor.stats
-    assert fingerprint == serial_reference("color-state")
-    assert stats.retries >= 1
-    assert stats.demotions == 0
+    assert executor.stats.worker_errors >= 1
 
 
 @needs_fork

@@ -90,7 +90,7 @@ class TestGuides:
         guide = RouteGuide("n")
         guide.add_cell(GCell(0, 1, 1))
         assert guide.covers_cell(GCell(0, 1, 1))
-        grown = guide.expanded(gcells, margin_cells=1)
+        grown = guide.expanded(gcells, margin=1)
         assert GCell(0, 0, 0) in grown.cells and GCell(1, 1, 1) in grown.cells
         assert guide.layers() == {0}
 

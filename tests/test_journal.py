@@ -200,7 +200,6 @@ def test_pool_backend_matches_serial(router_key, batch_size):
         parallelism=4,
         batch_size=batch_size,
         batch_backend="pool",
-        batch_policy="prefix",
         min_fork_batch=2,
     )
     pooled = router.run()
